@@ -56,6 +56,25 @@ from repro.sanitize.runtime import (
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(lo: int, what: str):
+    """argparse ``type=``: an int no smaller than ``lo``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {what} {text!r}: not an integer") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"invalid {what} {value}: must be at least {lo}")
+        return value
+    return parse
+
+
+_scale = _int_at_least(1, "scale")
+_hosts = _int_at_least(1, "host count")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -68,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["bfs", "cc", "sssp", "pagerank", "kcore"])
     run.add_argument("--graph", default="rmat",
                      choices=["rmat", "kron", "webcrawl"])
-    run.add_argument("--scale", type=int, default=12)
-    run.add_argument("--hosts", type=int, default=16)
+    run.add_argument("--scale", type=_scale, default=12)
+    run.add_argument("--hosts", type=_hosts, default=16)
     run.add_argument("--layer", default="lci", choices=list(LAYER_NAMES))
     run.add_argument("--system", default="abelian",
                      choices=["abelian", "gemini"])
@@ -117,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["bfs", "cc", "sssp", "pagerank", "kcore"])
     chaos.add_argument("--graph", default="rmat",
                        choices=["rmat", "kron", "webcrawl"])
-    chaos.add_argument("--scale", type=int, default=10)
-    chaos.add_argument("--hosts", type=int, default=4)
+    chaos.add_argument("--scale", type=_scale, default=10)
+    chaos.add_argument("--hosts", type=_hosts, default=4)
     chaos.add_argument("--layer", default="lci", choices=list(LAYER_NAMES))
     chaos.add_argument("--system", default="abelian",
                        choices=["abelian", "gemini"])
@@ -160,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["bfs", "cc", "sssp", "pagerank", "kcore"])
     sweep.add_argument("--graph", default="kron",
                        choices=["rmat", "kron", "webcrawl"])
-    sweep.add_argument("--scale", type=int, default=12)
-    sweep.add_argument("--hosts", type=int, nargs="+", default=[4, 16, 64])
+    sweep.add_argument("--scale", type=_scale, default=12)
+    sweep.add_argument("--hosts", type=_hosts, nargs="+", default=[4, 16, 64])
     sweep.add_argument("--system", default="abelian",
                        choices=["abelian", "gemini"])
     sweep.add_argument("--pagerank-rounds", type=int, default=10)
@@ -173,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[1, 4, 16, 64])
 
     inputs = sub.add_parser("inputs", help="Table I input properties")
-    inputs.add_argument("--scale", type=int, default=14)
+    inputs.add_argument("--scale", type=_scale, default=14)
 
     sub.add_parser("calibrate", help="model-calibration report")
 
@@ -184,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--graph", default="rmat",
                        choices=["rmat", "kron", "webcrawl"])
-    serve.add_argument("--scale", type=int, default=10)
-    serve.add_argument("--hosts", type=int, default=4)
+    serve.add_argument("--scale", type=_scale, default=10)
+    serve.add_argument("--hosts", type=_hosts, default=4)
     serve.add_argument("--layer", default="lci", choices=list(LAYER_NAMES))
     serve.add_argument("--system", default="abelian",
                        choices=["abelian", "gemini"])
@@ -245,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["bfs", "cc", "sssp", "pagerank", "kcore"])
     profile.add_argument("--graph", default="rmat",
                          choices=["rmat", "kron", "webcrawl"])
-    profile.add_argument("--scale", type=int, default=10)
-    profile.add_argument("--hosts", type=int, default=8)
+    profile.add_argument("--scale", type=_scale, default=10)
+    profile.add_argument("--hosts", type=_hosts, default=8)
     profile.add_argument("--layer", default="lci",
                          choices=list(LAYER_NAMES))
     profile.add_argument("--system", default="abelian",
@@ -277,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "kcore"])
     commstats.add_argument("--graph", default="rmat",
                            choices=["rmat", "kron", "webcrawl"])
-    commstats.add_argument("--scale", type=int, default=10)
-    commstats.add_argument("--hosts", type=int, default=8)
+    commstats.add_argument("--scale", type=_scale, default=10)
+    commstats.add_argument("--hosts", type=_hosts, default=8)
     commstats.add_argument("--layer", default="lci",
                            choices=list(LAYER_NAMES))
     commstats.add_argument("--system", default="abelian",
@@ -1116,7 +1135,13 @@ def _cmd_analyze(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (getattr(args, "system", None) == "gemini"
+            and getattr(args, "layer", None) == "mpi-rma"):
+        parser.error(f"{args.command}: --system gemini cannot run --layer "
+                     "mpi-rma (the paper does not evaluate Gemini with "
+                     "MPI-RMA)")
     handler = {
         "run": _cmd_run,
         "explain": _cmd_explain,

@@ -59,12 +59,12 @@ class CommLayer:
         self.machine = machine
         self.stats = StatRegistry(f"{self.name}.host{host}")
         self.footprint = self.stats.peak("comm_buffer_bytes")
-        #: Optional ObsContext; subclasses overwrite this with the
-        #: fabric's context at construction (discovery pattern).
-        self.obs = None
-        #: Optional CommStatsContext, discovered the same way; records
-        #: the blob-level (src, dst, phase) traffic matrix.
-        self.commstats = None
+        ins = env.instruments
+        #: Optional ObsContext of the run (message-lifecycle tracing).
+        self.obs = ins.obs
+        #: Optional CommStatsContext of the run; records the blob-level
+        #: (src, dst, phase) traffic matrix.
+        self.commstats = ins.commstats
         #: phase -> list of (src, blob) already received but not collected
         self._stash: Dict[object, List[Tuple[int, UpdateBlob]]] = {}
         self._stash_waiters: Dict[object, Event] = {}

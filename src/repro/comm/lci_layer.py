@@ -45,8 +45,6 @@ class LciCommLayer(CommLayer):
     ):
         super().__init__(env, host, machine)
         self.rt = runtime
-        self.obs = getattr(runtime.nic.fabric, "obs", None)
-        self.commstats = getattr(runtime.nic.fabric, "commstats", None)
         #: Rendezvous receive requests not yet complete, keyed by request.
         self._pending_recvs: List[LciRequest] = []
         # Fixed pool memory is communication-buffer memory (Fig. 5).

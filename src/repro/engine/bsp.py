@@ -39,9 +39,9 @@ from repro.graph.csr import CsrGraph
 from repro.graph.partition import make_partition
 from repro.graph.partition.proxies import Partition
 from repro.netapi.nic import Fabric
-from repro.obs.profile import LEAF_SAMPLE_MASK, LEAF_SAMPLE_STRIDE
 from repro.sanitize.runtime import SanitizerContext, resolve_mode
 from repro.sim.engine import Environment
+from repro.sim.instruments import Instruments
 from repro.sim.machine import MachineModel, stampede2
 
 __all__ = ["EngineConfig", "BspEngine", "symmetrize"]
@@ -84,13 +84,17 @@ class EngineConfig:
     #: compute/communication ratio.  Communication is unaffected, so
     #: layer comparisons never depend on it.
     work_scale: float = 1.0
-    #: Optional :class:`repro.sim.trace.Tracer`; when set, the engine
-    #: emits per-round compute/gather/scatter/sync spans for timeline
-    #: visualization (chrome://tracing).
+    # The instruments.  The engine builds one
+    # :class:`~repro.sim.instruments.Instruments` record from the six
+    # fields below before any layer exists, and every component reads
+    # it once at construction.  ``None`` leaves an instrument out.
+    # Apart from the fault plan, all are pure observation: a run with
+    # any of them attached is bit-identical to a plain one.
+    #: :class:`repro.sim.trace.Tracer`: per-round compute/sync spans for
+    #: chrome://tracing.
     tracer: Optional[object] = None
-    #: Optional fault injection: a :class:`repro.faults.FaultPlan`, the
-    #: name of one (``repro.faults.NAMED_PLANS``), or ``None`` for a
-    #: fault-free run (the default; no hooks are installed).
+    #: A :class:`repro.faults.FaultPlan` or the name of one
+    #: (``repro.faults.NAMED_PLANS``).
     fault_plan: Optional[object] = None
     #: Protocol sanitizers: ``"warn"`` (accumulate, surface in metrics),
     #: ``"raise"`` (structured SanitizerError at the violation point),
@@ -99,23 +103,14 @@ class EngineConfig:
     #: environment is read, at engine construction, so the simulation
     #: modules themselves stay environment-independent (lint rule D104).
     sanitize: Optional[str] = None
-    #: Optional :class:`repro.obs.ObsContext` for message-lifecycle
-    #: tracing and queue probes.  Installed on the fabric before the
-    #: layers are built (like sanitizers/faults) so every component can
-    #: self-discover it.  Pure observation: a run with obs enabled is
-    #: bit-identical to one without.
+    #: :class:`repro.obs.ObsContext`: message-lifecycle tracing and
+    #: queue probes.
     obs: Optional[object] = None
-    #: Optional :class:`repro.obs.profile.ProfileContext` for host-side
-    #: wall-clock region profiling and deterministic work counters.
-    #: Installed before the layers are built (like obs) so endpoints,
-    #: queues, and pools self-discover it.  Same contract: a profiled
-    #: run is bit-identical to a plain one.
+    #: :class:`repro.obs.profile.ProfileContext`: host-side wall-clock
+    #: regions and deterministic work counters.
     profile: Optional[object] = None
-    #: Optional :class:`repro.obs.commstats.CommStatsContext` for
-    #: per-(src, dst, kind/phase) traffic matrices and size histograms.
-    #: Installed before the layers are built (like obs) so every comm
-    #: layer self-discovers it.  Same contract: a run with commstats
-    #: enabled is bit-identical to one without.
+    #: :class:`repro.obs.commstats.CommStatsContext`: per-(src, dst,
+    #: kind/phase) traffic matrices and size histograms.
     commstats: Optional[object] = None
 
 
@@ -154,19 +149,12 @@ class BspEngine:
                 graph, config.num_hosts, config.policy
             )
         self.env = Environment()
-        self.fabric = Fabric(self.env, config.num_hosts, config.machine)
-        # Sanitizers ride on the fabric (like the fault injector) so the
-        # protocol components can self-discover them; they must be
-        # installed before the layers are built.
         self.sanitizer_ctx = None
         _san_mode = resolve_mode(config.sanitize)
         if _san_mode is not None:
             self.sanitizer_ctx = SanitizerContext(
                 _san_mode, env=self.env, tracer=config.tracer
             )
-            self.fabric.sanitizer = self.sanitizer_ctx
-        # The injector must be installed before the layers are built so
-        # LCI can arm its ack/retransmit recovery protocol.
         self.injector = None
         if config.fault_plan is not None:
             from repro.faults import FaultInjector, get_plan
@@ -175,22 +163,26 @@ class BspEngine:
             if not plan.empty:
                 self.injector = FaultInjector(
                     self.env, plan, tracer=config.tracer
-                ).install(self.fabric)
-        # Observability rides the fabric too; must also precede the
-        # layers so endpoints register their queue probes at build time.
-        self.obs = config.obs
-        if self.obs is not None:
-            self.obs.install(self.env, self.fabric)
-        # The comm-pattern observatory rides the fabric the same way and
-        # must precede the layers (they discover it at construction for
-        # the blob-level tap in CommLayer.trace_send).
-        self.commstats = config.commstats
-        if self.commstats is not None:
-            self.commstats.install(self.env, self.fabric,
-                                   layer=config.layer)
-        # Host-side profiling rides the fabric/environment the same way
-        # (and must precede the layers so matching queues and packet
-        # pools pick up their counter hooks at construction).
+                )
+        # The one record every component reads at construction; it
+        # must exist before the fabric and the layers.
+        self.instruments = Instruments(
+            faults=self.injector,
+            sanitizer=self.sanitizer_ctx,
+            obs=config.obs,
+            profiler=config.profile,
+            commstats=config.commstats,
+            tracer=config.tracer,
+        )
+        self.fabric = Fabric(self.env, config.num_hosts, config.machine,
+                             instruments=self.instruments)
+        # Contexts that keep run-level state bind the environment and
+        # fabric here, before the layers register their own probes.
+        if config.obs is not None:
+            config.obs.install(self.env, self.fabric)
+        if config.commstats is not None:
+            config.commstats.install(self.env, self.fabric,
+                                     layer=config.layer)
         self.profiler = config.profile
         # Engine work totals are plain instance ints bumped on the hot
         # path and folded into the counter registry by a deferred source
@@ -201,20 +193,28 @@ class BspEngine:
         self._t_blob_bytes = 0
         self._t_updates = 0
         self._t_scattered = 0
-        # [cum_seconds, calls] cells for the per-blob/per-round leaf
+        # [cum_seconds, calls] cells for the fully timed per-phase leaf
         # regions, folded into the region tree by a deferred leaf
-        # source.  The per-blob cells (pack/apply) sample the clock
-        # every LEAF_SAMPLE_STRIDE'th call; per-phase cells are fully
-        # timed.
+        # source.  The per-blob pack/apply calls are the profiler's
+        # sampled leaf regions instead.
         self._r_compute = [0.0, 0]
         self._r_gather = [0.0, 0]
-        self._r_pack = [0.0, 0]
         self._r_scatter = [0.0, 0]
-        self._r_apply = [0.0, 0]
+        self._pack = pack_updates
+        self._apply_reduce = app.apply_reduce
+        self._apply_bcast = app.apply_bcast
         if self.profiler is not None:
             self.profiler.install(self.env, self.fabric)
             self.profiler.add_source(self._profile_counts)
             self.profiler.add_leaf_source(self._profile_regions)
+            leaf = self.profiler.sampled_leaf
+            self._pack = leaf("comm.serialization.pack", pack_updates,
+                              parent="sim.engine.run;engine.bsp.gather")
+            scatter = "sim.engine.run;engine.bsp.scatter"
+            self._apply_reduce = leaf("engine.bsp.apply", app.apply_reduce,
+                                      parent=scatter)
+            self._apply_bcast = leaf("engine.bsp.apply", app.apply_bcast,
+                                     parent=scatter)
         self.layers: List[CommLayer] = make_layers(
             config.layer, self.env, self.fabric, config.machine,
             **config.layer_kwargs,
@@ -244,7 +244,7 @@ class BspEngine:
         # Per-(host, pattern) sync-phase geometry (peer lists, id arrays),
         # computed lazily on the first round and reused every round after.
         self._sync_cache = {}
-        self.tracer = config.tracer
+        self.tracer = self.instruments.tracer
         if self.tracer is not None and self.tracer.env is None:
             self.tracer.env = self.env
 
@@ -265,7 +265,7 @@ class BspEngine:
         )
 
     def _profile_regions(self):
-        """Deferred leaf-region source: per-blob/per-round timing cells.
+        """Deferred leaf-region source: per-round timing cells.
 
         All of these regions run synchronously inside the event loop
         (no yields between their clock reads), so their nesting is known
@@ -277,12 +277,8 @@ class BspEngine:
              self._r_compute[0], self._r_compute[1]),
             ("sim.engine.run", "engine.bsp.gather",
              self._r_gather[0], self._r_gather[1]),
-            ("sim.engine.run;engine.bsp.gather", "comm.serialization.pack",
-             self._r_pack[0] * LEAF_SAMPLE_STRIDE, self._r_pack[1]),
             ("sim.engine.run", "engine.bsp.scatter",
              self._r_scatter[0], self._r_scatter[1]),
-            ("sim.engine.run;engine.bsp.scatter", "engine.bsp.apply",
-             self._r_apply[0] * LEAF_SAMPLE_STRIDE, self._r_apply[1]),
         )
 
     # ------------------------------------------------------------------
@@ -468,42 +464,24 @@ class BspEngine:
         out, out_hosts, in_hosts, in_map = cache
         if is_reduce:
             get_values = app.reduce_values
-            apply_values = app.apply_reduce
+            apply_values = self._apply_reduce
         else:
             get_values = app.bcast_values
-            apply_values = app.apply_bcast
+            apply_values = self._apply_bcast
         yield from layer.phase_begin(phase, out_hosts, in_hosts)
 
         # Gather: pack each pair's dirty subset (parallel across threads).
         prof = self.profiler
         if prof is not None:
             pclock = prof.clock
-            r_pack, r_apply = self._r_pack, self._r_apply
             g0 = pclock()
+        pack = self._pack
         blobs = []
         gather_cost = 0.0
         for dst, ids_mine, sp in out:
             positions = np.where(dirty[ids_mine])[0].astype(np.int64)
             values = get_values(state, ids_mine[positions])
-            if prof is None:
-                blob = pack_updates(
-                    positions, values, len(sp), app.field_bytes, phase=phase
-                )
-            else:
-                n = r_pack[1] + 1
-                r_pack[1] = n
-                if n & LEAF_SAMPLE_MASK:
-                    blob = pack_updates(
-                        positions, values, len(sp), app.field_bytes,
-                        phase=phase,
-                    )
-                else:
-                    t0 = pclock()
-                    blob = pack_updates(
-                        positions, values, len(sp), app.field_bytes,
-                        phase=phase,
-                    )
-                    r_pack[0] += pclock() - t0
+            blob = pack(positions, values, len(sp), app.field_bytes, phase)
             blobs.append((dst, blob, ids_mine))
             gather_cost += pack_cost(cpu, len(positions), blob.nbytes)
             self._payload_bytes[h] += blob.nbytes
@@ -564,21 +542,7 @@ class BspEngine:
                     deferred.append((src, blob, ids))
                 else:
                     if len(ids):
-                        if prof is None:
-                            changed = apply_values(state, ids, blob.values)
-                        else:
-                            n = r_apply[1] + 1
-                            r_apply[1] = n
-                            if n & LEAF_SAMPLE_MASK:
-                                changed = apply_values(
-                                    state, ids, blob.values
-                                )
-                            else:
-                                t0 = pclock()
-                                changed = apply_values(
-                                    state, ids, blob.values
-                                )
-                                r_apply[0] += pclock() - t0
+                        changed = apply_values(state, ids, blob.values)
                         if is_reduce and app.label_is_broadcast_field and dirty_bcast is not None:
                             dirty_bcast[ids[changed]] = True
                     layer.consume(blob)
@@ -596,17 +560,7 @@ class BspEngine:
                 s0 = pclock()
             for _src, blob, ids in deferred:
                 if len(ids):
-                    if prof is None:
-                        changed = apply_values(state, ids, blob.values)
-                    else:
-                        n = r_apply[1] + 1
-                        r_apply[1] = n
-                        if n & LEAF_SAMPLE_MASK:
-                            changed = apply_values(state, ids, blob.values)
-                        else:
-                            t0 = pclock()
-                            changed = apply_values(state, ids, blob.values)
-                            r_apply[0] += pclock() - t0
+                    changed = apply_values(state, ids, blob.values)
                     if is_reduce and app.label_is_broadcast_field and dirty_bcast is not None:
                         dirty_bcast[ids[changed]] = True
                 layer.consume(blob)

@@ -1,9 +1,11 @@
 """The fault injector: deterministic adversity for the simulated fabric.
 
-One :class:`FaultInjector` is installed per run (``injector.install(fabric)``
-sets ``fabric.faults`` and ``env.faults``).  The NIC and the simulation
-kernel consult it through four narrow hooks, each a no-op-fast check when
-the corresponding fault kinds are absent from the plan:
+One :class:`FaultInjector` serves a run, as the ``faults`` field of its
+:class:`~repro.sim.instruments.Instruments` record (built by
+``BspEngine`` before the communication layers, so LCI can arm its
+recovery protocol).  The NIC and the simulation kernel consult it
+through four narrow hooks, each a no-op-fast check when the
+corresponding fault kinds are absent from the plan:
 
 * :meth:`tx_blocked`   — NIC-stall windows (``Nic.try_inject``);
 * :meth:`link_adjust`  — latency/bandwidth degradation windows;
@@ -80,15 +82,6 @@ class FaultInjector:
         )
         if tracer is not None:
             self._trace_windows()
-
-    # ------------------------------------------------------------------
-    def install(self, fabric) -> "FaultInjector":
-        """Attach to a fabric (and its environment).  Must run before the
-        communication layers are built so LCI can arm its recovery
-        protocol."""
-        fabric.faults = self
-        self.env.faults = self
-        return self
 
     # ------------------------------------------------------------------
     # NIC hooks

@@ -55,6 +55,7 @@ class PacketPool:
         local_hit_cost_factor: float = 0.25,
         rx_reserve: int = 2,
         stats: Optional[StatRegistry] = None,
+        sanitizer=None,
     ):
         """``rx_reserve`` packets are usable only by the receive path
         (the communication server's preposted buffers): send-side
@@ -63,6 +64,11 @@ class PacketPool:
         the cyclic rendezvous deadlock a fully-starved symmetric pool
         would otherwise allow (every budget parked in an outgoing RTS,
         no host able to accept the incoming ones).
+
+        ``sanitizer`` is an optional lifecycle checker
+        (:class:`repro.sanitize.lci_checks.LciSanitizer`), handed over by
+        the owning queue when sanitizers are armed.  Pure observation:
+        it never charges simulated time.
         """
         if size < 1:
             raise ValueError("pool size must be >= 1")
@@ -90,17 +96,12 @@ class PacketPool:
         self._free_idx: List[int] = list(range(size - 1, -1, -1))
         #: Descriptor reuse armed (see module docstring).
         self._reuse = False
-        #: Optional lifecycle checker (repro.sanitize.lci_checks.
-        #: LciSanitizer), attached by the owning queue when sanitizers
-        #: are armed.  Pure observation: never charges simulated time.
-        #: Assigning it rebinds the ``touch``/``retire`` hook slots.
-        self._sanitizer = None
-        self.touch = _noop_lifecycle
-        self.retire = _noop_lifecycle
-        #: Pure slot reclamation for descriptors that die without a
-        #: ``retire`` (the RTS after its RTR is built): a no-op unless
-        #: reuse is armed, and never visible to sanitizers/analyzers.
-        self.reclaim = _noop_lifecycle
+        self.sanitizer = sanitizer
+        #: ``touch``/``retire`` hook slots, plus ``reclaim``: pure slot
+        #: reclamation for descriptors that die without a ``retire``
+        #: (the RTS after its RTR is built), a no-op unless reuse is
+        #: armed and never visible to sanitizers/analyzers.
+        self._rebind_lifecycle()
         # Hoisted counters: one registry lookup per pool, not per op.
         self._c_local_hits = self.stats.counter("alloc_local_hits")
         self._c_global_hits = self.stats.counter("alloc_global_hits")
@@ -116,28 +117,19 @@ class PacketPool:
         self.stats.peak("pool_bytes").add(size * packet_data_bytes)
 
     # ------------------------------------------------------------------
-    @property
-    def sanitizer(self):
-        return self._sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, value) -> None:
-        self._sanitizer = value
-        self._rebind_lifecycle()
-
     def enable_packet_reuse(self) -> None:
         """Arm slot-resident descriptor reuse.
 
         Only call when no fault injector (duplicate deliveries keep dead
         descriptors live), no obs tracer, and no sanitizer (tracks
         per-descriptor lifecycles) is attached — the owning queue checks
-        those conditions at wiring time.
+        those conditions at wiring time.  A sanitized pool never reuses.
         """
         self._reuse = True
         self._rebind_lifecycle()
 
     def _rebind_lifecycle(self) -> None:
-        if self._sanitizer is not None:
+        if self.sanitizer is not None:
             self._reuse = False
             self.touch = self._touch_sanitized
             self.retire = self._retire_sanitized
@@ -182,8 +174,8 @@ class PacketPool:
         if thread is not None and local > 0:
             self._local[thread] = local - 1
             self._c_local_hits.add()
-            if self._sanitizer is not None:
-                self._sanitizer.on_alloc()
+            if self.sanitizer is not None:
+                self.sanitizer.on_alloc()
             yield self._atomic_local
             return True
         yield self._atomic
@@ -191,8 +183,8 @@ class PacketPool:
         if self._free > floor:
             self._free -= 1
             self._c_global_hits.add()
-            if self._sanitizer is not None:
-                self._sanitizer.on_alloc()
+            if self.sanitizer is not None:
+                self.sanitizer.on_alloc()
             return True
         # Steal path: the shared pool is at its floor but other threads'
         # private caches may hold free packets; raid the fullest cache
@@ -207,8 +199,8 @@ class PacketPool:
             if victim is not None:
                 self._local[victim] -= 1
                 self._c_steals.add()
-                if self._sanitizer is not None:
-                    self._sanitizer.on_alloc()
+                if self.sanitizer is not None:
+                    self.sanitizer.on_alloc()
                 yield self._atomic
                 return True
         self._c_failures.add()
@@ -216,8 +208,8 @@ class PacketPool:
 
     def free(self, thread: object = None):
         """Generator: return a packet budget to the pool."""
-        if self._sanitizer is not None:
-            self._sanitizer.on_free(self)
+        if self.sanitizer is not None:
+            self.sanitizer.on_free(self)
         if thread is not None:
             local = self._local.get(thread, 0)
             if local < self.local_cache_packets:
@@ -234,8 +226,8 @@ class PacketPool:
     def free_nowait(self, thread: object = None) -> None:
         """Zero-cost variant for completion callbacks (cost was prepaid by
         the operation that armed the callback)."""
-        if self._sanitizer is not None:
-            self._sanitizer.on_free(self)
+        if self.sanitizer is not None:
+            self.sanitizer.on_free(self)
         self._c_free_nowait.add()
         if thread is not None:
             local = self._local.get(thread, 0)
@@ -301,8 +293,8 @@ class PacketPool:
             return pkt
         pkt = Packet(ptype, src, dst, tag, size, payload=payload)
         pkt.pool = self
-        if self._sanitizer is not None:
-            self._sanitizer.on_packet_made(pkt)
+        if self.sanitizer is not None:
+            self.sanitizer.on_packet_made(pkt)
         return pkt
 
     # ------------------------------------------------------------------
@@ -330,7 +322,7 @@ class PacketPool:
             pkt.request = None
 
     def _retire_sanitized(self, pkt: Packet) -> None:
-        self._sanitizer.on_packet_retired(pkt)
+        self.sanitizer.on_packet_retired(pkt)
 
     def _touch_sanitized(self, pkt: Packet) -> None:
-        self._sanitizer.on_packet_use(pkt)
+        self.sanitizer.on_packet_use(pkt)

@@ -75,8 +75,13 @@ class MpiEndpoint:
         self.thread_mode = thread_mode
         self.stats = stats or StatRegistry(f"mpi.rank{rank}")
 
-        self.posted = PostedQueue()
-        self.unexpected = UnexpectedQueue()
+        # The run's instruments, read once: the matching queues get the
+        # obs context (arrival stamps) and the profiler (timed walks).
+        ins = nic.fabric.instruments
+        self.obs = ins.obs
+        self.profiler = ins.profiler
+        self.posted = PostedQueue(self.profiler)
+        self.unexpected = UnexpectedQueue(rank, self.obs, self.profiler)
 
         # Eager flow control: credits per destination.
         self._credits: Dict[int, int] = {}
@@ -98,20 +103,14 @@ class MpiEndpoint:
         # Per-source sink buffers for rendezvous RDMA (lazily registered).
         self._rndv_sinks: Dict[int, int] = {}
 
-        # Usage checker, discovered like the fault injector.
-        _ctx = getattr(nic.fabric, "sanitizer", None)
+        # Usage checker.
         self.sanitizer: Optional[MpiSanitizer] = (
-            MpiSanitizer(_ctx, rank) if _ctx is not None else None
+            MpiSanitizer(ins.sanitizer, rank)
+            if ins.sanitizer is not None else None
         )
 
-        # Observability context, discovered the same way.  The matching
-        # queues learn about it so they can stamp arrival times, and the
-        # queue-depth probes the paper's Fig. 6 narrative implies are
-        # registered here.
-        self.obs = getattr(nic.fabric, "obs", None)
+        # The queue-depth probes the paper's Fig. 6 narrative implies.
         if self.obs is not None:
-            self.unexpected.obs = self.obs
-            self.unexpected.host = rank
             self.obs.register_probe(
                 "mpi.unexpected_depth", rank, self.unexpected.__len__
             )
@@ -119,14 +118,9 @@ class MpiEndpoint:
                 "mpi.posted_depth", rank, self.posted.__len__
             )
 
-        # Host-side profiler, discovered the same way; the matching
-        # queues get a direct reference so their traversal walks are
-        # timed.  Probe/enqueue counts are deferred: the queues keep
+        # Probe/enqueue counts are deferred: the queues keep
         # deterministic running totals anyway, snapshotted at flush.
-        self.profiler = getattr(nic.fabric, "profiler", None)
         if self.profiler is not None:
-            self.posted.profiler = self.profiler
-            self.unexpected.profiler = self.profiler
             self.profiler.add_source(self._profile_counts)
 
         # Hoisted per-call costs and counters (the progress engine and
@@ -222,9 +216,9 @@ class MpiEndpoint:
     # ------------------------------------------------------------------
     def _inject(self, pkt: Packet, on_local_complete=None, notify_target=True):
         yield self._send_overhead
-        while not self.nic.try_inject(
-            pkt, on_local_complete=on_local_complete, notify_target=notify_target
-        ):
+        # Positional: a profiled NIC's try_inject is a sampled-leaf
+        # wrapper, for which keyword arguments cost extra per packet.
+        while not self.nic.try_inject(pkt, on_local_complete, notify_target):
             self._c_tx_retries.add()
             yield self._tx_backoff
 

@@ -13,7 +13,7 @@ Queue entries are ``__slots__`` records with class-level free-lists
 message on a matching layer churns one of each, and recycling a consumed
 entry is two list ops instead of an allocate/initialize/collect cycle.
 The profiler and observability hooks are bound into the queues' method
-slots at attach time (``match_arrival``/``match_receive``/``add`` are
+slots at construction (``match_arrival``/``match_receive``/``add`` are
 instance attributes), so an unobserved run never branches on them.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from repro.mpi.types import ANY_SOURCE, ANY_TAG, MpiRequest
-from repro.obs.profile import LEAF_SAMPLE_MASK, LEAF_SAMPLE_STRIDE
 
 __all__ = ["PostedReceive", "UnexpectedMessage", "PostedQueue", "UnexpectedQueue"]
 
@@ -143,63 +142,32 @@ class UnexpectedMessage:
 
 
 class PostedQueue:
-    """FIFO list of posted receives, traversed on every arrival."""
+    """FIFO list of posted receives, traversed on every arrival.
 
-    def __init__(self):
+    With a ``profiler`` (the endpoint's, when host-side profiling is on)
+    ``match_arrival`` is the timed walk; otherwise it IS the walk, with
+    no per-call branch.  A walk of an *empty* queue (no inspection, no
+    state change — the walk would return ``(None, 0)`` untouched) skips
+    the timing, so call counts equal walks that inspected something.
+    """
+
+    def __init__(self, profiler=None):
         self._items: List[PostedReceive] = []
         self.max_length = 0
         #: Running total of elements inspected across all walks —
         #: deterministic queue state (like ``max_length``), snapshotted
         #: by the endpoint's deferred profiler source.
         self.probes = 0
-        self._profiler = None
-        #: Hot entry point, rebound when a profiler attaches: the
-        #: unprofiled walk IS match_arrival, no per-call branch.
         self.match_arrival = self._walk
+        if profiler is not None:
+            timed = profiler.sampled_leaf(
+                "mpi.matching.posted_walk", self._walk)
+            items = self._items
 
-    @property
-    def profiler(self):
-        """Optional ProfileContext, attached by the endpoint when
-        host-side profiling is installed (pure observation).  Assigning
-        it rebinds ``match_arrival``."""
-        return self._profiler
+            def match_arrival(src, tag):
+                return timed(src, tag) if items else (None, 0)
 
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        if value is None:
-            self.match_arrival = self._walk
-            return
-        # Closure-bound wrapper: clock/walk resolved once at attach time,
-        # timing accumulated into a plain [cum, calls] cell folded in by
-        # a deferred leaf source at snapshot time.  A walk of an *empty*
-        # list (no state change, no inspection — ``_walk`` would return
-        # ``(None, 0)`` untouched) skips the hook entirely, and only
-        # every LEAF_SAMPLE_STRIDE'th walk reads the clock (cum is
-        # scaled back up by the source; calls stay exact).  Region data
-        # is wall-side only, so none of this can move a fingerprint.
-        walk, items = self._walk, self._items
-        clock = value.clock
-        tot = [0.0, 0]
-
-        def match_arrival(src, tag):
-            if not items:
-                return None, 0
-            n = tot[1] + 1
-            tot[1] = n
-            if n & LEAF_SAMPLE_MASK:
-                return walk(src, tag)
-            t0 = clock()
-            try:
-                return walk(src, tag)
-            finally:
-                tot[0] += clock() - t0
-
-        self.match_arrival = match_arrival
-        value.add_leaf_source(lambda: (
-            ("sim.engine.run", "mpi.matching.posted_walk",
-             tot[0] * LEAF_SAMPLE_STRIDE, tot[1]),
-        ))
+            self.match_arrival = match_arrival
 
     def __len__(self) -> int:
         return len(self._items)
@@ -235,70 +203,34 @@ class PostedQueue:
 
 
 class UnexpectedQueue:
-    """FIFO list of arrived-but-unmatched messages."""
+    """FIFO list of arrived-but-unmatched messages.
 
-    def __init__(self):
+    ``obs`` (with the owning ``host`` rank) makes ``add`` stamp arrival
+    times and emit ``match_wait`` events; ``profiler`` times
+    ``match_receive`` like :class:`PostedQueue` times its walk.  Both
+    are wired here, at construction.
+    """
+
+    def __init__(self, host: int = -1, obs=None, profiler=None):
         self._items: List[UnexpectedMessage] = []
         self.max_length = 0
         #: Lifetime enqueue count and walk-probe total — deterministic
         #: queue state, snapshotted by the endpoint's profiler source.
         self.enqueued = 0
         self.probes = 0
-        self.host = -1
-        self._obs = None
-        self._profiler = None
-        #: Hot entry points, rebound when obs / a profiler attach.
-        self.add = self._add_plain
+        self.host = host
+        self._obs = obs
+        self.add = self._add_plain if obs is None else self._add_observed
         self.match_receive = self._walk
+        if profiler is not None:
+            timed = profiler.sampled_leaf(
+                "mpi.matching.unexpected_walk", self._walk)
+            items = self._items
 
-    @property
-    def obs(self):
-        """Optional ObsContext (+ ``host`` rank), attached by the
-        endpoint when observability is installed.  Assigning it rebinds
-        ``add``."""
-        return self._obs
+            def match_receive(source, tag, remove=True):
+                return timed(source, tag, remove) if items else (None, 0)
 
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        self.add = self._add_plain if value is None else self._add_observed
-
-    @property
-    def profiler(self):
-        """Optional ProfileContext (same attachment path as ``obs``).
-        Assigning it rebinds ``match_receive``."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        if value is None:
-            self.match_receive = self._walk
-            return
-        # Same attach-time closure + empty-queue skip + sampled timing
-        # + deferred leaf source as PostedQueue.
-        walk, items = self._walk, self._items
-        clock = value.clock
-        tot = [0.0, 0]
-
-        def match_receive(source, tag, remove=True):
-            if not items:
-                return None, 0
-            n = tot[1] + 1
-            tot[1] = n
-            if n & LEAF_SAMPLE_MASK:
-                return walk(source, tag, remove)
-            t0 = clock()
-            try:
-                return walk(source, tag, remove)
-            finally:
-                tot[0] += clock() - t0
-
-        self.match_receive = match_receive
-        value.add_leaf_source(lambda: (
-            ("sim.engine.run", "mpi.matching.unexpected_walk",
-             tot[0] * LEAF_SAMPLE_STRIDE, tot[1]),
-        ))
+            self.match_receive = match_receive
 
     def __len__(self) -> int:
         return len(self._items)

@@ -104,13 +104,14 @@ class MpiWindow:
         for ep in world.endpoints:
             ep._rma_handlers[self.win_id] = self._make_handler(ep.rank)
         self._created = [False] * p
-        # Epoch-discipline checker, discovered like the fault injector.
-        _ctx = getattr(world.fabric, "sanitizer", None)
+        ins = world.fabric.instruments
+        # Epoch-discipline checker.
         self.sanitizer: Optional[WindowSanitizer] = (
-            WindowSanitizer(_ctx, self.win_id, label) if _ctx is not None else None
+            WindowSanitizer(ins.sanitizer, self.win_id, label)
+            if ins.sanitizer is not None else None
         )
         # Observability: puts carry trace ids; epoch waits record stalls.
-        self.obs = getattr(world.fabric, "obs", None)
+        self.obs = ins.obs
 
     # ------------------------------------------------------------------
     # Creation (collective)

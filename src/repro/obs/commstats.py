@@ -1,11 +1,12 @@
 """Communication-pattern observatory (``repro.obs.commstats``).
 
 Answers the question the tracer and profiler don't: *who sent how much
-to whom, when, and how unevenly*.  A :class:`CommStatsContext` is
-discovered via the fabric exactly like faults/sanitize/obs/profile —
-off by default, and attaching one never perturbs the run (RunMetrics
-stay bit-identical): the hooks never advance simulated time, never
-touch a :class:`~repro.sim.monitor.StatRegistry`, and never change any
+to whom, when, and how unevenly*.  A :class:`CommStatsContext` is the
+``commstats`` field of the run's :class:`~repro.sim.instruments.Instruments`
+record, read once by the NICs and comm layers at construction — off by
+default, and attaching one never perturbs the run (RunMetrics stay
+bit-identical): the hooks never advance simulated time, never touch a
+:class:`~repro.sim.monitor.StatRegistry`, and never change any
 iteration order.
 
 Two levels of accounting are collected:
@@ -89,7 +90,7 @@ def _phase_key(phase) -> str:
 
 
 class CommStatsContext:
-    """Deterministic traffic-matrix collector, fabric-discovered.
+    """Deterministic traffic-matrix collector, one of the run's instruments.
 
     Usage mirrors :class:`repro.obs.ObsContext`::
 
@@ -115,17 +116,16 @@ class CommStatsContext:
         self._blob: Dict[str, Dict[Tuple[int, int], List[int]]] = {}
 
     # ------------------------------------------------------------------
-    # Installation (fabric discovery)
+    # Installation
     # ------------------------------------------------------------------
     def install(self, env, fabric, layer: Optional[str] = None
                 ) -> "CommStatsContext":
-        """Attach to ``fabric``; components discover us from there."""
+        """Bind the run's environment, fabric size and layer name."""
         self.env = env
         self.fabric = fabric
         self.num_hosts = fabric.num_hosts
         if layer is not None:
             self.layer = layer
-        fabric.commstats = self
         return self
 
     # ------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Message-lifecycle observability context (the tentpole of `repro.obs`).
 
-One :class:`ObsContext` rides on the :class:`~repro.netapi.nic.Fabric`
-(``fabric.obs``), discovered by protocol components exactly like the
-fault injector and the sanitizers — ``getattr(nic.fabric, "obs", None)``
-at construction, every hook a no-op when absent.  It collects three
-kinds of data, all pure observation:
+One :class:`ObsContext` serves a run, as the ``obs`` field of its
+:class:`~repro.sim.instruments.Instruments` record: protocol components
+read it once at construction, and every hook is a no-op when it is
+absent.  It collects three kinds of data, all pure observation:
 
 * **Stage events** — every payload handed to a comm-layer ``send`` gets
   a deterministic trace id (:meth:`new_trace`) and emits causally-linked
@@ -131,15 +130,14 @@ class ObsContext:
         return self.env.now if self.env is not None else 0.0
 
     def install(self, env, fabric) -> "ObsContext":
-        """Attach to a fabric (``fabric.obs = self``) and start sampling.
+        """Bind the run's environment and fabric and start sampling.
 
-        Must run before the comm layers are built so endpoints can
-        register their queue probes at construction.  The per-NIC
-        probes are registered here because NICs predate the context.
+        Must run before the comm layers are built, so the per-NIC
+        probes registered here come first in the deterministic sampling
+        order, ahead of the ones endpoints register at construction.
         """
         self.env = env
         self.fabric = fabric
-        fabric.obs = self
         for host in range(fabric.num_hosts):
             nic = fabric.nic(host)
             self.register_probe("nic.rx_depth", host,

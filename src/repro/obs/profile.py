@@ -16,20 +16,21 @@ Two instruments, one context, zero cost when off:
   :meth:`~CounterRegistry.fingerprint` — the drift-detection anchor in
   ``BENCH_core.json``.
 
-Both ride on :class:`ProfileContext`, discovered exactly like faults /
-sanitizers / obs: ``BspEngine`` installs it as ``fabric.profiler`` and
-``env.profiler``; every component does ``getattr(..., "profiler", None)``
-and no-ops on ``None``.  The contract mirrors ``repro.obs``:
+Both ride on :class:`ProfileContext`, the ``profiler`` field of the
+run's :class:`~repro.sim.instruments.Instruments` record: every
+component reads it once at construction and wires its timed paths only
+when it is set.  The contract mirrors ``repro.obs``:
 
-* **Off by default** — no context installed means no hook fires beyond
-  a ``None`` check.
+* **Off by default** — no profiler in the record means no hook is wired.
 * **Bit-identical when on** — hooks never advance simulated time, touch
   a :class:`~repro.sim.monitor.StatRegistry`, or change iteration
   order; ``RunMetrics`` with the profiler enabled equals the plain run
   (CI-asserted).
 * **Cheap when on** — wall-clock reads bracket coarse synchronous
-  segments only (never per-event), and per-packet *work counts* are
-  never incremented on the hot path at all: components that already
+  segments only (never per-event), the per-packet and per-walk sites
+  read the clock on a sample of calls
+  (:meth:`ProfileContext.sampled_leaf`), and per-packet *work counts*
+  are never incremented on the hot path at all: components that already
   maintain deterministic tallies (NIC stats, pool stats, matching-queue
   probe counts) register a :meth:`ProfileContext.add_source` callback
   instead, and the registry folds their totals in lazily at snapshot
@@ -75,14 +76,14 @@ def wall_now() -> float:
     return time.perf_counter()  # lint-ok: D101 the profiler measures host wall-clock by design
 
 
-#: The raw C clock, bound into the hot-path closures below: a call to
-#: the :func:`wall_now` Python wrapper costs more than the clock read
+#: The raw C clock, bound into the hot-path closures: a call to the
+#: :func:`wall_now` Python wrapper costs more than the clock read
 #: itself, so the closures skip the frame.  Same clock, same lint
 #: rationale as :func:`wall_now`.
 _perf_counter = time.perf_counter  # lint-ok: D101 hot-path alias of wall_now
 
-#: Sampling stride for the highest-frequency deferred leaf cells.
-#: Sites that fire per packet or per queue walk only read the clock on
+#: Sampling stride of :meth:`ProfileContext.sampled_leaf`.  Sites that
+#: fire per packet, per blob or per queue walk only read the clock on
 #: every STRIDE'th call and report ``cum * STRIDE`` from their leaf
 #: source; call counts stay exact.  The untimed calls pay one counter
 #: increment and one AND — the stride is a power of two so the "is
@@ -135,15 +136,15 @@ class RegionProfiler:
             # that inject a custom clock keep theirs verbatim.
             clock = _perf_counter
         self._clock = clock
-        #: The raw clock, exposed so leaf call sites can read the start
-        #: timestamp with one attribute load + one C call (see ``leaf``).
+        #: The raw clock, exposed so timed call sites can read it with one
+        #: attribute load + one C call.
         self.clock = clock
         self.root = _Node("")
         # Stack of (node, t_enter); the virtual root never pops.
         stack: List[tuple] = [(self.root, 0.0)]
         self._stack = stack
 
-        # enter/exit/leaf are built as closures with every name bound
+        # enter/exit are built as closures with every name bound
         # local (no ``self`` attribute traffic, plain-function call
         # overhead): they run hundreds of times per simulated round, and
         # their cost is the profiler's measured overhead.
@@ -160,30 +161,10 @@ class RegionProfiler:
             node.cum += _clock() - t0
             node.calls += 1
 
-        # Fused enter+exit for *leaf* regions — ones that never contain
-        # a nested region (per-packet NIC handling, matching walks,
-        # pack/apply).  The caller reads ``t0 = prof.clock()`` before
-        # the work and calls ``leaf(name, t0)`` after: one Python call
-        # instead of two and no stack push/pop, which roughly halves
-        # the per-region cost on the paths that dominate overhead.  The
-        # node still attaches to the innermost open region, so the tree
-        # is identical to what enter/exit would have produced.
-        def leaf(name, t0, _stack=stack, _clock=clock, _node_cls=_Node):
-            dt = _clock() - t0
-            children = _stack[-1][0].children
-            try:
-                node = children[name]
-            except KeyError:
-                node = children[name] = _node_cls(name)
-            node.cum += dt
-            node.calls += 1
-
         #: Open a region (hot path; see closure above).
         self.enter = enter
         #: Close the innermost region (hot path; see closure above).
         self.exit = exit
-        #: Close a fused leaf region opened at ``t0`` (hot path).
-        self.leaf = leaf
         #: Deferred leaf-region sources (see :meth:`add_leaf_source`).
         self._leaf_sources: List = []
 
@@ -372,13 +353,12 @@ class CounterRegistry:
 
 
 class ProfileContext:
-    """Bundles the region profiler + counter registry onto the fabric.
+    """Bundles the region profiler and the counter registry.
 
-    Same discovery pattern as ``FaultInjector`` / ``SanitizerContext`` /
-    ``ObsContext``: :meth:`install` hangs the context off the fabric and
-    environment; components look it up once at construction (or read
-    ``fabric.profiler`` dynamically on slow paths) and skip every hook
-    when it is ``None``.
+    Components find it as the ``profiler`` field of the run's
+    :class:`~repro.sim.instruments.Instruments` record, read once at
+    construction.  :meth:`install` binds the engine's environment and
+    fabric and registers the fabric's packet counters.
 
     One context may be installed across several engines (the serve
     layer runs one engine per batch): regions and counters accumulate,
@@ -413,7 +393,6 @@ class ProfileContext:
         # pay one method call, not two.
         self.enter = self.regions.enter
         self.exit = self.regions.exit
-        self.leaf = self.regions.leaf
         self.clock = self.regions.clock
         self.count = self.counters.inc
         self.add_leaf_source = self.regions.add_leaf_source
@@ -421,8 +400,6 @@ class ProfileContext:
     def install(self, env, fabric) -> "ProfileContext":
         self.env = env
         self.fabric = fabric
-        fabric.profiler = self
-        env.profiler = self
         # The NIC layer keeps deterministic per-NIC packet/byte stats
         # regardless of profiling; snapshot them instead of paying
         # per-packet increments.
@@ -432,6 +409,36 @@ class ProfileContext:
     def add_source(self, fn) -> None:
         """Register a deferred counter source (see the class docstring)."""
         self._sources.append(fn)
+
+    def sampled_leaf(self, name: str, fn, parent: str = "sim.engine.run"):
+        """Wrap ``fn`` so its calls are timed as leaf region ``name``.
+
+        The wrapper counts every call in a ``[cum, calls]`` cell and
+        reads the clock only on every :data:`LEAF_SAMPLE_STRIDE`'th one;
+        a deferred leaf source reports ``cum * STRIDE`` under
+        ``parent`` (the ``;``-joined region path the call sites run
+        inside, static because they only run synchronously inside the
+        event loop).  No stack or tree traffic per call, and region data
+        is wall-side only, so no fingerprint can move.
+        """
+        clock = self.clock
+        cell = [0.0, 0]
+
+        def timed(*args, **kwargs):
+            n = cell[1] + 1
+            cell[1] = n
+            if n & LEAF_SAMPLE_MASK:
+                return fn(*args, **kwargs)
+            t0 = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                cell[0] += clock() - t0
+
+        self.add_leaf_source(lambda: (
+            (parent, name, cell[0] * LEAF_SAMPLE_STRIDE, cell[1]),
+        ))
+        return timed
 
     def flush(self) -> "ProfileContext":
         """Fold every deferred source's totals into the registry.

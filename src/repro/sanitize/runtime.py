@@ -130,11 +130,11 @@ class SanitizerConfig:
 class SanitizerContext:
     """The per-run hub every checker reports into.
 
-    One context exists per engine run (installed as
-    ``fabric.sanitizer``); the protocol components discover it through
-    their NIC's fabric, exactly like the fault injector, so no
-    constructor signature in the hot path changes when sanitizers are
-    off.
+    One context exists per engine run, as the ``sanitizer`` field of its
+    :class:`~repro.sim.instruments.Instruments` record; the protocol
+    components read it once at construction and wrap it in their own
+    checkers, so no constructor signature in the hot path changes when
+    sanitizers are off.
     """
 
     def __init__(

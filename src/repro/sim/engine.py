@@ -53,6 +53,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
+from repro.sim.instruments import NO_INSTRUMENTS
+
 __all__ = [
     "SimulationError",
     "Interrupt",
@@ -453,19 +455,17 @@ class Environment:
         self._far: List[tuple] = []       # overflow heap beyond the window
         self._far_ops = 0                 # heap-fallback pushes + migrations
         self._rebase_streak = 0
-        #: Optional :class:`repro.faults.FaultInjector`.  When installed,
-        #: :meth:`charged_timeout` dilates CPU-work delays through its
-        #: straggler model; ``None`` keeps the hook a no-op.
-        self.faults = None
-        #: Optional :class:`repro.obs.profile.ProfileContext`.  When
-        #: installed, :meth:`run` brackets the dispatch loop in a
-        #: ``sim.engine.run`` region and folds event/scheduler work counts
-        #: into the counter registry on exit.  The hot path (dispatch /
-        #: ``_push``) is untouched either way: schedules are already
-        #: counted by ``_seq``, fires by the run loop, and fallback ops by
-        #: a plain attribute touched only on the (rare) overflow path —
-        #: profiling adds zero per-event cost.
-        self.profiler = None
+        #: The run's :class:`~repro.sim.instruments.Instruments`, set by
+        #: the fabric built on this environment.  The kernel reads two
+        #: fields: ``faults`` (:meth:`charged_timeout` dilates CPU-work
+        #: delays through its straggler model) and ``profiler`` (:meth:`run`
+        #: brackets the dispatch loop in a ``sim.engine.run`` region and
+        #: folds event/scheduler work counts into the counter registry on
+        #: exit).  The hot path (dispatch / ``_push``) is untouched either
+        #: way: schedules are already counted by ``_seq``, fires by the run
+        #: loop, and fallback ops by a plain attribute touched only on the
+        #: (rare) overflow path.
+        self.instruments = NO_INSTRUMENTS
 
     @property
     def now(self) -> float:
@@ -482,13 +482,14 @@ class Environment:
     def charged_timeout(self, delay: float, actor: Optional[int] = None) -> float:
         """Delay representing ``delay`` seconds of CPU *work* by host
         ``actor``, for a process to ``yield`` directly (the fast path).
-        Plain :meth:`timeout` models elapsed time; this hook lets an
-        installed fault injector stretch the work when the actor is
+        Plain :meth:`timeout` models elapsed time; this hook lets the
+        run's fault injector stretch the work when the actor is
         inside a straggler window.  Without an injector the returned
         delay is exactly ``delay``.
         """
-        if self.faults is not None:
-            delay = self.faults.dilate(actor, delay, self._now)
+        faults = self.instruments.faults
+        if faults is not None:
+            delay = faults.dilate(actor, delay, self._now)
         return delay
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -688,7 +689,7 @@ class Environment:
         ``max_events`` is a safety valve against accidental livelock in
         polling loops; exceeding it raises :class:`SimulationError`.
         """
-        prof = self.profiler
+        prof = self.instruments.profiler
         if prof is not None:
             seq0 = self._seq
             far0 = self._far_ops

@@ -84,3 +84,26 @@ def test_inputs_command(capsys):
 def test_invalid_choice_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--app", "nonsense"])
+
+
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_run_rejects_zero_hosts(capsys):
+    err = _usage_error(["run", "--hosts", "0"], capsys)
+    assert "--hosts" in err and "at least 1" in err
+
+
+def test_run_rejects_negative_scale(capsys):
+    err = _usage_error(["run", "--scale", "-1"], capsys)
+    assert "--scale" in err and "at least 1" in err
+
+
+def test_run_rejects_gemini_with_rma(capsys):
+    err = _usage_error(
+        ["run", "--system", "gemini", "--layer", "mpi-rma"], capsys)
+    assert "gemini" in err and "mpi-rma" in err

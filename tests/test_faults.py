@@ -237,8 +237,9 @@ def test_no_plan_no_hooks():
     g = rmat(7, edge_factor=8, seed=31)
     eng = BspEngine(g, Bfs(source=0), EngineConfig(num_hosts=4, layer="lci"))
     assert eng.injector is None
-    assert eng.fabric.faults is None
-    assert eng.env.faults is None
+    assert eng.instruments.faults is None
+    assert eng.fabric.instruments is eng.instruments
+    assert eng.env.instruments is eng.instruments
     assert all(l.rt.reliability is None for l in eng.layers)
     m = eng.run()
     assert m.fault_counts == {}

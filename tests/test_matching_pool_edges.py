@@ -167,12 +167,12 @@ def make_pool(size, rx_reserve=0, local_cache=None):
     kwargs = {}
     if local_cache is not None:
         kwargs["local_cache_packets"] = local_cache
+    ctx = SanitizerContext("warn", env=env)
     pool = PacketPool(
         env, stampede2().cpu, size=size, packet_data_bytes=1024,
-        rx_reserve=rx_reserve, **kwargs,
+        rx_reserve=rx_reserve, sanitizer=LciSanitizer(ctx, host=0),
+        **kwargs,
     )
-    ctx = SanitizerContext("warn", env=env)
-    pool.sanitizer = LciSanitizer(ctx, host=0)
     return env, pool, ctx
 
 

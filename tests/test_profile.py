@@ -9,7 +9,7 @@ The load-bearing guarantees pinned here:
   repeat runs reproduce it exactly, and the deferred-source
   :meth:`~repro.obs.ProfileContext.flush` is idempotent;
 * the region tree's self/cumulative arithmetic is exact under an
-  injectable clock, for both the enter/exit and the fused leaf forms;
+  injectable clock;
 * exports (JSON profile document, collapsed stacks) pass their
   validators;
 * ``BENCH_core.json`` drift checking ignores wall-clock blocks but
@@ -37,6 +37,7 @@ from repro.obs import (
     validate_collapsed,
     validate_profile_doc,
 )
+from repro.obs.profile import LEAF_SAMPLE_STRIDE
 
 LAYERS = ("lci", "mpi-probe", "mpi-rma")
 
@@ -81,36 +82,24 @@ def test_region_nesting_self_and_cum():
     assert prof.depth == 0
 
 
-def test_leaf_equivalent_to_enter_exit():
-    """The fused leaf form builds the same tree as enter/exit."""
-    c1, c2 = FakeClock(), FakeClock()
-    a, b = RegionProfiler(clock=c1), RegionProfiler(clock=c2)
-
-    a.enter("outer")
-    a.enter("hot")
-    a.exit()
-    a.exit()
-
-    b.enter("outer")
-    t0 = b.clock()
-    b.leaf("hot", t0)
-    b.exit()
-
-    assert a.rows() == b.rows()
+def test_sampled_leaf_counts_every_call_and_times_a_sample():
+    ctx = ProfileContext(clock=FakeClock())
+    timed = ctx.sampled_leaf("hot", lambda x, y=0: x + y, parent="a;b")
+    calls = 2 * LEAF_SAMPLE_STRIDE + 3
+    assert [timed(i, y=1) for i in range(calls)] == [
+        i + 1 for i in range(calls)
+    ]
+    rows = {r["path"]: r for r in ctx.regions.rows()}
+    hot = rows["a;b;hot"]
+    assert hot["calls"] == calls
+    # Two calls read the clock (one tick each, scaled up by the stride).
+    assert hot["cum_s"] == 2.0 * LEAF_SAMPLE_STRIDE
 
 
-def test_leaf_attaches_to_innermost_open_region():
-    clock = FakeClock()
-    prof = RegionProfiler(clock=clock)
-    t0 = prof.clock()
-    prof.leaf("at_root", t0)
-    prof.enter("outer")
-    t0 = prof.clock()
-    prof.leaf("nested", t0)
-    prof.exit()
-    paths = [r["path"] for r in prof.rows()]
-    assert "at_root" in paths
-    assert "outer;nested" in paths
+def test_sampled_leaf_that_never_fired_adds_no_region():
+    ctx = ProfileContext(clock=FakeClock())
+    ctx.sampled_leaf("idle", lambda: None)
+    assert ctx.regions.rows() == []
 
 
 def test_region_context_manager_and_repeat_calls():

@@ -40,28 +40,31 @@ from repro.sanitize.lint import (
 )
 from repro.sanitize.runtime import resolve_mode
 from repro.sim.engine import Environment
+from repro.sim.instruments import Instruments
 from repro.sim.machine import stampede2
 from repro.sim.rng import RngFactory
 
 
 # ---------------------------------------------------------------------------
-# Helpers: worlds with sanitizers armed (discovered via fabric.sanitizer,
-# exactly the path the engine uses)
+# Helpers: worlds with sanitizers armed (handed to the fabric in its
+# Instruments record, exactly the path the engine uses)
 # ---------------------------------------------------------------------------
-def make_mpi_world(num_hosts=2, mode="warn", san_config=None):
+def sanitized_fabric(num_hosts, mode, san_config=None):
     env = Environment()
-    fabric = Fabric(env, num_hosts, stampede2())
     ctx = SanitizerContext(mode, env=env, config=san_config)
-    fabric.sanitizer = ctx
+    fabric = Fabric(env, num_hosts, stampede2(),
+                    instruments=Instruments(sanitizer=ctx))
+    return env, fabric, ctx
+
+
+def make_mpi_world(num_hosts=2, mode="warn", san_config=None):
+    env, fabric, ctx = sanitized_fabric(num_hosts, mode, san_config)
     world = MpiWorld(env, fabric, intel_mpi(), ThreadMode.MULTIPLE)
     return env, world, ctx
 
 
 def make_lci_world(num_hosts=2, mode="warn"):
-    env = Environment()
-    fabric = Fabric(env, num_hosts, stampede2())
-    ctx = SanitizerContext(mode, env=env)
-    fabric.sanitizer = ctx
+    env, fabric, ctx = sanitized_fabric(num_hosts, mode)
     world = LciRuntime.create_world(env, fabric)
     return env, world, ctx
 
@@ -71,9 +74,8 @@ def make_sanitized_pool(size=3, rx_reserve=0, mode="warn"):
     ctx = SanitizerContext(mode, env=env)
     pool = PacketPool(
         env, stampede2().cpu, size=size, packet_data_bytes=1024,
-        rx_reserve=rx_reserve,
+        rx_reserve=rx_reserve, sanitizer=LciSanitizer(ctx, host=0),
     )
-    pool.sanitizer = LciSanitizer(ctx, host=0)
     return env, pool, ctx
 
 
