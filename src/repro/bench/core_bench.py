@@ -7,15 +7,17 @@ the repo root.  Each scenario contributes two blocks:
 * ``sim`` — **deterministic**: simulated seconds, rounds, message and
   update volumes, event counts, the full work-counter dictionary, its
   fingerprint, and the communication-observatory totals (wire/blob
-  volume + comm fingerprint, from an extra untimed run that also pins
-  the observatory's bit-identity contract).  Pure functions of the
-  scenario, so CI regenerates them and fails on drift (exactly the
-  ``BENCH_serve.json`` contract).  Any perf refactor that changes
-  these changed *behaviour*, not just speed.
+  volume, eager/rendezvous byte split + comm fingerprint, from an extra
+  untimed run that also pins the observatory's bit-identity contract).
+  Pure functions of the scenario, so CI regenerates them and fails on
+  drift (exactly the ``BENCH_serve.json`` contract); this is the repo's
+  comm-volume oracle.  Any perf refactor that changes these changed
+  *behaviour*, not just speed.
 * ``wall`` — **informational**: host wall-clock for the engine run
   (min over repeats), events/sec, simulated messages/sec.  Machine-
-  dependent, so :func:`check_against_file` ignores it; the committed
-  values are the *trajectory* later perf PRs show their delta against.
+  dependent, so the drift check (:func:`repro.gate.diff` after
+  :func:`strip_wall`) ignores it; the committed values are the
+  *trajectory* later perf PRs show their delta against.
 
 :func:`measure_overhead` times profiler-off vs profiler-on back to back
 (min-of-N, interleaved so machine drift cancels); CI bounds the
@@ -24,11 +26,9 @@ overhead below 5%.
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bench.scenarios import Scenario, build_engine
-from repro.bench.serve_bench import compare_bench_docs
 from repro.obs.commstats import CommStatsContext
 from repro.obs.profile import ProfileContext, cpu_now, wall_now
 
@@ -36,12 +36,10 @@ __all__ = [
     "BENCH_CORE_FORMAT",
     "CANONICAL_SCENARIOS",
     "core_benchmark",
-    "bench_core_to_json",
     "strip_wall",
     "trajectory_point",
     "with_trajectory",
     "compare_core_perf",
-    "check_core_against_file",
     "OVERHEAD_SCENARIO",
     "measure_overhead",
 ]
@@ -137,6 +135,8 @@ def core_benchmark(
                     "wire_bytes": comm_totals["wire_bytes"],
                     "blob_msgs": comm_totals["blob_msgs"],
                     "blob_bytes": comm_totals["blob_bytes"],
+                    "eager_bytes": comm_totals["eager_bytes"],
+                    "rendezvous_bytes": comm_totals["rendezvous_bytes"],
                     "fingerprint": comm_doc["fingerprint"],
                 },
             },
@@ -149,11 +149,6 @@ def core_benchmark(
             },
         })
     return {"format": BENCH_CORE_FORMAT, "scenarios": rows}
-
-
-def bench_core_to_json(doc: dict) -> str:
-    """Canonical byte-stable serialization (committed file contents)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def strip_wall(doc):
@@ -186,24 +181,25 @@ def trajectory_point(doc: dict, note: str = "") -> dict:
     }
 
 
-def with_trajectory(doc: dict, old: Optional[dict], note: str) -> dict:
+def with_trajectory(doc: dict, old: Optional[dict],
+                    note: Optional[str]) -> dict:
     """``doc`` plus a perf-trajectory list carried forward from ``old``.
 
     The trajectory is an append-only history of wall numbers: each
-    regeneration of the committed file keeps the previous file's points
-    and adds one for the fresh measurement.  An ``old`` file that
-    predates the trajectory format contributes its own walls as the
-    first point, so the before/after of the first perf PR both survive.
+    regeneration of the committed file keeps the previous file's points,
+    and adds one for the fresh measurement when ``note`` is given.  An
+    ``old`` file that predates the trajectory format contributes its own
+    walls as the first point, so the before/after of the first perf PR
+    both survive.
     """
     points: List[dict] = []
     if old is not None:
         points.extend(old.get("trajectory", ()))
         if not points and "scenarios" in old:
             points.append(trajectory_point(old, note="(previous)"))
-    points.append(trajectory_point(doc, note=note))
-    out = dict(doc)
-    out["trajectory"] = points
-    return out
+    if note is not None:
+        points.append(trajectory_point(doc, note=note))
+    return {**doc, "trajectory": points}
 
 
 def compare_core_perf(
@@ -251,20 +247,6 @@ def compare_core_perf(
         if label not in old_rows:
             lines.append(f"{label}: new scenario (no old measurement)")
     return lines, errors, deltas
-
-
-def check_core_against_file(doc: dict, path: str) -> Optional[List[str]]:
-    """Drift between ``doc`` and the committed file, wall fields ignored.
-
-    Returns ``None`` when the committed file is unreadable, else the
-    (possibly empty) list of mismatches.
-    """
-    try:
-        with open(path) as fh:
-            committed = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return compare_bench_docs(strip_wall(doc), strip_wall(committed))
 
 
 #: Default scenario for :func:`measure_overhead`.  Deliberately larger

@@ -14,16 +14,13 @@ Fields the acceptance gate reads: ``serve.throughput.queries_per_sec``,
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.bench.scenarios import Scenario, run_scenario
 
 __all__ = [
     "BENCH_FORMAT",
     "serve_benchmark",
-    "bench_doc_to_json",
-    "compare_bench_docs",
 ]
 
 BENCH_FORMAT = "repro-bench-serve/v1"
@@ -92,57 +89,3 @@ def serve_benchmark(
         "serve": serve_doc,
         "fig3": fig3_rows,
     }
-
-
-def bench_doc_to_json(doc: dict) -> str:
-    """Canonical byte-stable serialization (committed file contents)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def compare_bench_docs(fresh: dict, committed: dict,
-                       rel_tol: float = 1e-9,
-                       path: str = "") -> List[str]:
-    """Mismatches between a regenerated doc and the committed one.
-
-    Exact on structure, strings, ints and bools; floats compare to
-    ``rel_tol`` so a NumPy point release can't fail CI on last-bit
-    noise.  Empty list = documents agree.
-    """
-    diffs: List[str] = []
-    if isinstance(fresh, dict) and isinstance(committed, dict):
-        for key in sorted(set(fresh) | set(committed)):
-            here = f"{path}.{key}" if path else str(key)
-            if key not in fresh:
-                diffs.append(f"{here}: missing from regenerated doc")
-            elif key not in committed:
-                diffs.append(f"{here}: missing from committed doc")
-            else:
-                diffs.extend(compare_bench_docs(
-                    fresh[key], committed[key], rel_tol, here
-                ))
-        return diffs
-    if isinstance(fresh, list) and isinstance(committed, list):
-        if len(fresh) != len(committed):
-            return [f"{path}: length {len(fresh)} != {len(committed)}"]
-        for i, (a, b) in enumerate(zip(fresh, committed)):
-            diffs.extend(compare_bench_docs(a, b, rel_tol, f"{path}[{i}]"))
-        return diffs
-    if isinstance(fresh, float) or isinstance(committed, float):
-        a, b = float(fresh), float(committed)
-        scale = max(abs(a), abs(b), 1e-30)
-        if abs(a - b) / scale > rel_tol:
-            return [f"{path}: {a!r} != {b!r}"]
-        return []
-    if fresh != committed:
-        return [f"{path}: {fresh!r} != {committed!r}"]
-    return []
-
-
-def check_against_file(doc: dict, path: str) -> Optional[List[str]]:
-    """Compare ``doc`` with the JSON at ``path``; None if unreadable."""
-    try:
-        with open(path) as fh:
-            committed = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return compare_bench_docs(doc, committed)

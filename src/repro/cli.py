@@ -26,14 +26,14 @@
         [--check BENCH_core.json] [--compare OLD.json] [--overhead]
     python -m repro run ... --comm comm.json
     python -m repro explain obs.json --comm
-    python -m repro commstats --app bfs --scale 10 --hosts 8 --layer lci
-    python -m repro commstats --canonical [--check-baseline \\
-        [COMM_BASELINE.json]] [--write-baseline [COMM_BASELINE.json]]
+    python -m repro commstats --app bfs --scale 10 --hosts 8 --layer lci \\
+        [--json comm.json] [--csv comm.csv] [--heatmap h.txt] [--prom m.prom]
 
 Each subcommand prints the same tables the benchmark harness produces.
 
-Exit codes: 0 success; 1 generic failure / lint findings; 2 usage
-errors; 3 (:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when a run
+Exit codes: 0 success; 1 generic failure / lint findings / drift from
+a committed file; 2 usage errors and missing or malformed committed
+files; 3 (:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when a run
 finished but warn-mode protocol sanitizers recorded violations.
 """
 
@@ -47,6 +47,7 @@ from repro.bench.micro import MICRO_INTERFACES, message_rate, pingpong_latency
 from repro.bench.report import format_seconds, format_table
 from repro.bench.scenarios import Scenario, build_engine, run_scenario
 from repro.comm.layer_base import LAYER_NAMES
+from repro.gate import GateError, atomic_write, canonical_json, diff, load
 from repro.sanitize.runtime import (
     SANITIZER_EXIT_CODE,
     SanitizerError,
@@ -311,33 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     commstats.add_argument("--fault-plan", default=None,
                            help="run under a named fault plan (the "
                                 "dropped matrix attributes lost bytes)")
-    commstats.add_argument("--canonical", action="store_true",
-                           help="run every canonical bench-core "
-                                "scenario instead of one ad-hoc run")
     commstats.add_argument("--json", metavar="PATH", dest="json_path",
-                           help="write the comm-doc JSON (with "
-                                "--canonical: a label->doc mapping)")
+                           help="write the comm-doc JSON")
     commstats.add_argument("--csv", metavar="PATH", dest="csv_path",
-                           help="write the flat CSV matrix dump "
-                                "(single-scenario mode only)")
+                           help="write the flat CSV matrix dump")
     commstats.add_argument("--heatmap", metavar="PATH",
                            dest="heatmap_path",
-                           help="write the ASCII heatmap(s) to PATH")
+                           help="write the ASCII heatmap to PATH")
     commstats.add_argument("--prom", metavar="PATH", dest="prom_path",
                            help="write the repro_comm_* Prometheus "
-                                "families (single-scenario mode only)")
-    commstats.add_argument("--write-baseline", nargs="?",
-                           const="COMM_BASELINE.json", default=None,
-                           metavar="PATH", dest="write_baseline",
-                           help="write per-scenario comm fingerprints "
-                                "for the canonical scenarios (implies "
-                                "--canonical)")
-    commstats.add_argument("--check-baseline", nargs="?",
-                           const="COMM_BASELINE.json", default=None,
-                           metavar="PATH", dest="check_baseline",
-                           help="exit 1 if any canonical scenario's "
-                                "comm volume drifted from the baseline "
-                                "file (implies --canonical)")
+                                "families")
 
     bench_core = sub.add_parser(
         "bench-core",
@@ -364,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "scenario's events/sec regressed more "
                                  "than PCT percent")
     bench_core.add_argument("--trajectory-note", metavar="NOTE",
-                            help="with --out: carry the old file's "
-                                 "perf-trajectory points forward and "
-                                 "append this run as NOTE")
+                            help="with --out: append this run to the "
+                                 "perf trajectory as NOTE (the file's "
+                                 "existing points are always kept)")
     bench_core.add_argument("--overhead", action="store_true",
                             help="also measure profiler-on vs "
                                  "profiler-off CPU-time overhead "
@@ -669,8 +653,6 @@ def _cmd_calibrate(_args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import json
-
     from repro.serve import (
         ServeConfig,
         ServeEngine,
@@ -733,19 +715,16 @@ def _cmd_serve(args) -> int:
         return SANITIZER_EXIT_CODE
 
     if args.save_tape:
-        with open(args.save_tape, "w") as fh:
-            fh.write(tape_to_json(spec, queries))
+        atomic_write(args.save_tape, tape_to_json(spec, queries))
         print(f"tape written to {args.save_tape}")
     if args.report:
         # Deterministic by default: replaying the same tape must produce
         # a byte-identical report file.  Wall-clock throughput stays
         # available via ServeReport.as_dict(include_wall=True).
-        with open(args.report, "w") as fh:
-            json.dump(report.as_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        atomic_write(args.report, canonical_json(report.as_dict()))
         print(f"report written to {args.report}")
     if obs_config is not None and engine.last_obs is not None:
-        from repro.obs import save_prometheus, save_timeline
+        from repro.obs import save_timeline, to_prometheus
 
         timeline = engine.last_obs.as_timeline(meta={
             "scenario": f"serve/{args.graph}{args.scale}"
@@ -759,12 +738,12 @@ def _cmd_serve(args) -> int:
             counters = (
                 profile.counters_dict() if profile is not None else None
             )
-            save_prometheus(args.obs_prom, timeline, counters=counters)
-            with open(args.obs_prom, "a") as fh:
-                lat_lines = report.latency_summary().prometheus_lines(
-                    "repro_serve_query_latency_seconds"
-                )
-                fh.write("\n".join(lat_lines) + "\n")
+            lat_lines = report.latency_summary().prometheus_lines(
+                "repro_serve_query_latency_seconds"
+            )
+            atomic_write(args.obs_prom,
+                         to_prometheus(timeline, counters)
+                         + "\n".join(lat_lines) + "\n")
             print(f"obs prometheus metrics written to {args.obs_prom}")
     print(format_serve_report(report))
     if report.sanitizer_violations:
@@ -775,134 +754,62 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_commstats(args) -> int:
-    import json as _json
-
     from repro.obs.commstats import (
         CommStatsContext,
-        baseline_entry,
-        baseline_to_json,
-        check_comm_baseline,
         comm_doc_to_csv,
-        comm_doc_to_json,
         comm_prometheus_lines,
         format_comm_report,
-        make_baseline,
         render_heatmap,
+        save_comm_doc,
     )
 
-    canonical = bool(
-        args.canonical or args.write_baseline or args.check_baseline
+    sc = Scenario(
+        app=args.app, graph=args.graph, scale=args.scale,
+        hosts=args.hosts, layer=args.layer, system=args.system,
+        machine=args.machine, mpi_impl=args.mpi_impl,
+        pagerank_rounds=args.pagerank_rounds, seed=args.seed,
     )
-    if canonical:
-        from repro.bench.core_bench import CANONICAL_SCENARIOS
-        if args.fault_plan:
-            print("error: --fault-plan is incompatible with the "
-                  "canonical baseline scenarios", file=sys.stderr)
-            return 2
-        scenarios = list(CANONICAL_SCENARIOS)
-    else:
-        scenarios = [Scenario(
-            app=args.app, graph=args.graph, scale=args.scale,
-            hosts=args.hosts, layer=args.layer, system=args.system,
-            machine=args.machine, mpi_impl=args.mpi_impl,
-            pagerank_rounds=args.pagerank_rounds, seed=args.seed,
-        )]
-
-    docs = {}
-    for sc in scenarios:
-        ctx = CommStatsContext()
-        build_engine(sc, fault_plan=args.fault_plan, commstats=ctx).run()
-        docs[sc.label()] = ctx.comm_doc(meta={"scenario": sc.label()})
-
-    if canonical:
-        for label in sorted(docs):
-            totals = docs[label]["totals"]
-            print(f"{label}: {totals['wire_msgs']} pkts / "
-                  f"{totals['wire_bytes']} wire bytes, "
-                  f"{totals['blob_msgs']} blobs / "
-                  f"{totals['blob_bytes']} payload bytes, "
-                  f"fingerprint {docs[label]['fingerprint']}")
-    else:
-        print(format_comm_report(next(iter(docs.values()))))
+    ctx = CommStatsContext()
+    build_engine(sc, fault_plan=args.fault_plan, commstats=ctx).run()
+    doc = ctx.comm_doc(meta={"scenario": sc.label()})
+    print(format_comm_report(doc))
 
     if args.json_path:
-        if canonical:
-            payload = _json.dumps(docs, sort_keys=True, indent=2) + "\n"
-        else:
-            payload = comm_doc_to_json(next(iter(docs.values())))
-        with open(args.json_path, "w") as fh:
-            fh.write(payload)
+        save_comm_doc(args.json_path, doc)
         print(f"comm-doc json written to {args.json_path}")
     if args.csv_path:
-        if canonical:
-            print("error: --csv needs single-scenario mode",
-                  file=sys.stderr)
-            return 2
-        with open(args.csv_path, "w") as fh:
-            fh.write(comm_doc_to_csv(next(iter(docs.values()))))
+        atomic_write(args.csv_path, comm_doc_to_csv(doc))
         print(f"comm csv written to {args.csv_path}")
     if args.heatmap_path:
-        chunks = []
-        for label in sorted(docs):
-            chunks.append(f"== {label} ==")
-            chunks.append(render_heatmap(docs[label]))
-            chunks.append("")
-        with open(args.heatmap_path, "w") as fh:
-            fh.write("\n".join(chunks))
+        atomic_write(args.heatmap_path,
+                     f"== {sc.label()} ==\n{render_heatmap(doc)}\n")
         print(f"heatmap written to {args.heatmap_path}")
     if args.prom_path:
-        if canonical:
-            print("error: --prom needs single-scenario mode",
-                  file=sys.stderr)
-            return 2
-        with open(args.prom_path, "w") as fh:
-            fh.write(
-                "\n".join(comm_prometheus_lines(next(iter(docs.values()))))
-                + "\n"
-            )
+        atomic_write(args.prom_path,
+                     "\n".join(comm_prometheus_lines(doc)) + "\n")
         print(f"comm prometheus metrics written to {args.prom_path}")
-
-    entries = {label: baseline_entry(docs[label]) for label in docs}
-    if args.write_baseline:
-        with open(args.write_baseline, "w") as fh:
-            fh.write(baseline_to_json(make_baseline(entries)))
-        print(f"comm baseline written to {args.write_baseline}")
-        return 0
-    if args.check_baseline:
-        try:
-            with open(args.check_baseline) as fh:
-                committed = _json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline "
-                  f"{args.check_baseline}: {exc}", file=sys.stderr)
-            return 2
-        problems = check_comm_baseline(entries, committed)
-        if problems:
-            for problem in problems:
-                print(f"comm drift: {problem}", file=sys.stderr)
-            print(f"{len(problems)} drift(s) vs {args.check_baseline}; "
-                  "communication volume changed — fix the regression or "
-                  "regenerate deliberately with `repro commstats "
-                  f"--canonical --write-baseline {args.check_baseline}`",
-                  file=sys.stderr)
-            return 1
-        print(f"comm fingerprints match {args.check_baseline}")
     return 0
 
 
+def _drift(diffs: List[str], path: str, command: str) -> int:
+    """Print a gate's drift vs the committed ``path``: 1 if any, else 0."""
+    for d in diffs[:20]:
+        print(f"benchmark drift: {d}", file=sys.stderr)
+    if not diffs:
+        return 0
+    print(f"{len(diffs)} mismatch(es) vs {path}; regenerate with "
+          f"`repro {command} --out {path}` if the change is intended",
+          file=sys.stderr)
+    return 1
+
+
 def _cmd_bench_serve(args) -> int:
-    import json
+    from repro.bench.serve_bench import serve_benchmark
 
-    from repro.bench.serve_bench import (
-        bench_doc_to_json,
-        check_against_file,
-        serve_benchmark,
-    )
-
+    committed = load(args.check) if args.check else None
     doc = serve_benchmark()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(bench_doc_to_json(doc))
+        atomic_write(args.out, canonical_json(doc))
         print(f"benchmark written to {args.out}")
     serve_doc = doc["serve"]
     print(f"serve: {serve_doc['throughput']['queries_per_sec']} queries/s, "
@@ -910,18 +817,8 @@ def _cmd_bench_serve(args) -> int:
           f"p95 {serve_doc['latency']['p95_us']}us, "
           f"p99 {serve_doc['latency']['p99_us']}us, "
           f"{serve_doc['throughput']['messages_per_sec']} msgs/s")
-    if args.check:
-        diffs = check_against_file(doc, args.check)
-        if diffs is None:
-            print(f"error: cannot read committed benchmark {args.check}",
-                  file=sys.stderr)
-            return 1
-        if diffs:
-            for d in diffs[:20]:
-                print(f"benchmark drift: {d}", file=sys.stderr)
-            print(f"{len(diffs)} mismatch(es) vs {args.check}; regenerate "
-                  f"with `repro bench-serve --out {args.check}` if the "
-                  "change is intended", file=sys.stderr)
+    if committed is not None:
+        if _drift(diff(doc, committed), args.check, "bench-serve"):
             return 1
         print(f"matches committed {args.check}")
     return 0
@@ -959,34 +856,30 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench_core(args) -> int:
-    import json as _json
+    import os
 
     from repro.bench.core_bench import (
-        bench_core_to_json,
-        check_core_against_file,
         compare_core_perf,
         core_benchmark,
         measure_overhead,
+        strip_wall,
         with_trajectory,
     )
 
-    def _load(path):
-        try:
-            with open(path) as fh:
-                return _json.load(fh)
-        except (OSError, ValueError):
-            return None
-
+    # Committed inputs are read before the benchmark runs, so a missing
+    # or malformed file fails fast (exit 2) instead of after the runs.
+    committed = load(args.check) if args.check else None
+    old = load(args.compare_path) if args.compare_path else None
+    previous = (load(args.out)
+                if args.out and os.path.exists(args.out) else None)
     try:
         doc = core_benchmark(repeats=args.repeats)
     except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        if args.trajectory_note is not None:
-            doc = with_trajectory(doc, _load(args.out), args.trajectory_note)
-        with open(args.out, "w") as fh:
-            fh.write(bench_core_to_json(doc))
+        atomic_write(args.out, canonical_json(
+            with_trajectory(doc, previous, args.trajectory_note)))
         print(f"benchmark written to {args.out}")
     for row in doc["scenarios"]:
         sim, wall = row["sim"], row["wall"]
@@ -998,28 +891,18 @@ def _cmd_bench_core(args) -> int:
               f"comm {sim['comm']['wire_bytes']} B "
               f"[{sim['comm']['fingerprint']}]")
     rc = 0
-    if args.check:
-        diffs = check_core_against_file(doc, args.check)
-        if diffs is None:
-            print(f"error: cannot read committed benchmark {args.check}",
-                  file=sys.stderr)
-            return 1
-        if diffs:
-            for d in diffs[:20]:
-                print(f"benchmark drift: {d}", file=sys.stderr)
-            print(f"{len(diffs)} mismatch(es) vs {args.check}; regenerate "
-                  f"with `repro bench-core --out {args.check}` if the "
-                  "change is intended", file=sys.stderr)
+    if committed is not None:
+        diffs = diff(strip_wall(doc), strip_wall(committed))
+        if _drift(diffs, args.check, "bench-core"):
             return 1
         print(f"deterministic blocks match committed {args.check} "
               "(wall-clock ignored)")
-    if args.compare_path:
-        old = _load(args.compare_path)
-        if old is None:
-            print(f"error: cannot read benchmark {args.compare_path}",
-                  file=sys.stderr)
-            return 1
-        lines, errors, deltas = compare_core_perf(doc, old)
+    if old is not None:
+        try:
+            lines, errors, deltas = compare_core_perf(doc, old)
+        except (KeyError, TypeError) as exc:
+            raise GateError(f"cannot read {args.compare_path}: not a "
+                            f"bench-core document ({exc!r})") from None
         for line in lines:
             print(f"perf delta: {line}")
         for err in errors:
@@ -1055,17 +938,16 @@ def _cmd_lint(args) -> int:
         lint_paths,
         repo_package_root,
         report_dict,
-        save_report,
     )
+    from repro.sanitize.report import save_json, save_sarif
 
     paths = args.paths or [repo_package_root()]
     result = lint_paths(paths)
     print(format_findings(result))
     if args.json_path:
-        save_report(result, args.json_path)
+        save_json(report_dict(result), args.json_path)
         print(f"json report written to {args.json_path}")
     if args.sarif_path:
-        from repro.sanitize.report import save_sarif
         save_sarif(report_dict(result), args.sarif_path)
         print(f"sarif report written to {args.sarif_path}")
     return 1 if result.findings else 0
@@ -1094,6 +976,8 @@ def _cmd_analyze(args) -> int:
             f"{rule}={n}" for rule, n in sorted(hits.items())))
         return 1 if failures else 0
 
+    accepted = (proto.load_baseline(args.check_baseline)
+                if args.check_baseline else None)
     paths = args.paths or [repo_package_root()]
     result = proto.analyze_paths(paths)
     print(proto.format_findings(result))
@@ -1108,13 +992,7 @@ def _cmd_analyze(args) -> int:
         print(f"baseline written to {args.write_baseline}; edit the "
               "justification fields before committing")
         return 0
-    if args.check_baseline:
-        try:
-            accepted = proto.load_baseline(args.check_baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline "
-                  f"{args.check_baseline}: {exc}", file=sys.stderr)
-            return 2
+    if accepted is not None:
         new, stale = proto.diff_baseline(result.findings, accepted)
         for entry in stale:
             print(f"warning: stale baseline entry {entry['rule']} "
@@ -1158,7 +1036,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint": _cmd_lint,
         "analyze": _cmd_analyze,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except GateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

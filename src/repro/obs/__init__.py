@@ -10,8 +10,8 @@ stages (``repro run --obs`` / ``repro explain``).  Host-side
 paths plus deterministic work counters — lives in
 :mod:`repro.obs.profile` (``repro profile`` / ``repro bench-core``);
 the communication-pattern observatory — per-(src, dst, kind/phase)
-traffic matrices, size histograms, skew analytics, and the CI-gated
-comm fingerprints — lives in :mod:`repro.obs.commstats`
+traffic matrices, size histograms, skew analytics, and the comm
+fingerprints ``BENCH_core.json`` pins — lives in :mod:`repro.obs.commstats`
 (``repro commstats`` / ``repro explain --comm``).
 See docs/OBSERVABILITY.md.
 """
@@ -19,9 +19,7 @@ See docs/OBSERVABILITY.md.
 from repro.obs.commstats import (
     CommStatsContext,
     analyze_comm,
-    check_comm_baseline,
     comm_doc_to_csv,
-    comm_doc_to_json,
     comm_fingerprint,
     comm_prometheus_lines,
     format_comm_report,
@@ -101,14 +99,12 @@ __all__ = [
     "CommStatsContext",
     "analyze_comm",
     "comm_fingerprint",
-    "comm_doc_to_json",
     "comm_doc_to_csv",
     "save_comm_doc",
     "render_heatmap",
     "comm_prometheus_lines",
     "format_comm_report",
     "timeline_comm_doc",
-    "check_comm_baseline",
     "LatencySummary",
     "percentile_nearest_rank",
     "ProfileContext",

@@ -34,14 +34,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.gate import atomic_write, canonical_json
 
 __all__ = [
     "COMM_DOC_KIND",
     "COMM_DOC_VERSION",
-    "COMM_BASELINE_FORMAT",
     "EAGER_KINDS",
     "RENDEZVOUS_KINDS",
     "ACK_KINDS",
@@ -49,22 +48,16 @@ __all__ = [
     "analyze_comm",
     "gini",
     "comm_fingerprint",
-    "comm_doc_to_json",
     "save_comm_doc",
     "comm_doc_to_csv",
     "render_heatmap",
     "comm_prometheus_lines",
     "format_comm_report",
     "timeline_comm_doc",
-    "baseline_entry",
-    "make_baseline",
-    "baseline_to_json",
-    "check_comm_baseline",
 ]
 
 COMM_DOC_KIND = "repro-comm-doc"
 COMM_DOC_VERSION = 1
-COMM_BASELINE_FORMAT = "repro-comm-baseline/v1"
 
 #: Wire-kind segmentation (Section III: eager copies vs the
 #: RTS->RTR->RDMA rendezvous path vs pure acknowledgements).
@@ -425,32 +418,9 @@ def analyze_comm(doc: dict, hotspots: int = 8) -> dict:
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def comm_doc_to_json(doc: dict) -> str:
-    """Canonical byte-stable JSON rendering (committed-file form)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _atomic_text(path: str, text: str) -> str:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def save_comm_doc(path: str, doc: dict) -> str:
-    """Write the comm-doc atomically (temp file + ``os.replace``)."""
-    return _atomic_text(path, comm_doc_to_json(doc))
+    """Write the comm-doc atomically in canonical JSON form."""
+    return atomic_write(path, canonical_json(doc))
 
 
 def comm_doc_to_csv(doc: dict) -> str:
@@ -705,66 +675,3 @@ def timeline_comm_doc(timeline: dict) -> dict:
     }
     return build_comm_doc(wire={}, dropped={}, hist={}, blobs=blobs,
                           meta=meta)
-
-
-# ----------------------------------------------------------------------
-# Baseline (COMM_BASELINE.json) — per-scenario comm fingerprints
-# ----------------------------------------------------------------------
-def baseline_entry(doc: dict) -> dict:
-    """The drift-gated summary of one scenario's comm-doc."""
-    totals = doc["totals"]
-    return {
-        "wire_msgs": totals["wire_msgs"],
-        "wire_bytes": totals["wire_bytes"],
-        "blob_msgs": totals["blob_msgs"],
-        "blob_bytes": totals["blob_bytes"],
-        "eager_bytes": totals["eager_bytes"],
-        "rendezvous_bytes": totals["rendezvous_bytes"],
-        "fingerprint": doc["fingerprint"],
-    }
-
-
-def make_baseline(entries: Dict[str, dict]) -> dict:
-    return {
-        "format": COMM_BASELINE_FORMAT,
-        "scenarios": {label: dict(entries[label])
-                      for label in sorted(entries)},
-    }
-
-
-def baseline_to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def check_comm_baseline(fresh: Dict[str, dict], committed: dict
-                        ) -> List[str]:
-    """Compare freshly measured entries against the committed baseline.
-
-    Returns human-readable drift messages (empty = gate passes).  Any
-    mismatch means communication volume changed: either the change is a
-    bug, or the baseline must be regenerated *deliberately* with
-    ``repro commstats --canonical --write-baseline``.
-    """
-    problems: List[str] = []
-    if committed.get("format") != COMM_BASELINE_FORMAT:
-        problems.append(
-            f"baseline format {committed.get('format')!r} != "
-            f"{COMM_BASELINE_FORMAT!r}"
-        )
-        return problems
-    want = committed.get("scenarios", {})
-    for label in sorted(fresh):
-        if label not in want:
-            problems.append(f"{label}: missing from baseline")
-            continue
-        for field in sorted(fresh[label]):
-            got, exp = fresh[label][field], want[label].get(field)
-            if got != exp:
-                problems.append(
-                    f"{label}: {field} drifted — baseline {exp!r}, "
-                    f"measured {got!r}"
-                )
-    for label in sorted(want):
-        if label not in fresh:
-            problems.append(f"{label}: stale baseline entry (not measured)")
-    return problems

@@ -12,20 +12,17 @@ Three output formats, all deterministic byte-for-byte for a given run:
 * **Prometheus text format** (:func:`to_prometheus`) — aggregate
   counters/gauges for scraping or diffing in CI.
 
-All writes go through :func:`repro.sim.trace.atomic_write_json` (or the
-equivalent temp-file + replace dance for text) so interrupted runs
-cannot leave truncated artifacts.
+All writes go through :func:`repro.gate.atomic_write` (temp file +
+``os.replace``) so interrupted runs cannot leave truncated artifacts.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Dict, List, Tuple
 
+from repro.gate import atomic_write
 from repro.obs.critical_path import build_timelines, stage_attribution
-from repro.sim.trace import atomic_write_json
 
 __all__ = [
     "save_timeline",
@@ -38,7 +35,7 @@ __all__ = [
 
 
 def save_timeline(path: str, timeline: dict) -> str:
-    return atomic_write_json(path, timeline)
+    return atomic_write(path, json.dumps(timeline))
 
 
 def load_timeline(path: str) -> dict:
@@ -122,7 +119,7 @@ def to_chrome_trace(timeline: dict) -> dict:
 
 
 def save_chrome_trace(path: str, timeline: dict) -> str:
-    return atomic_write_json(path, to_chrome_trace(timeline))
+    return atomic_write(path, json.dumps(to_chrome_trace(timeline)))
 
 
 # ----------------------------------------------------------------------
@@ -264,18 +261,4 @@ def save_prometheus(path: str, timeline: dict,
                     counters: Dict[str, int] = None,
                     comm: dict = None) -> str:
     """Atomic text write of the Prometheus dump."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(to_prometheus(timeline, counters, comm))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, to_prometheus(timeline, counters, comm))

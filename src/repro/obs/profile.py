@@ -46,10 +46,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 from typing import Dict, List, Optional
+
+from repro.gate import atomic_write
 
 __all__ = [
     "wall_now",
@@ -506,12 +506,12 @@ class ProfileContext:
         return "\n".join(lines)
 
     def save_json(self, path: str, meta: Optional[dict] = None) -> None:
-        _atomic_write_text(
+        atomic_write(
             path, json.dumps(self.report_dict(meta), indent=2) + "\n"
         )
 
     def save_collapsed(self, path: str) -> None:
-        _atomic_write_text(path, self.to_collapsed())
+        atomic_write(path, self.to_collapsed())
 
 
 def _fabric_counts(fabric):
@@ -529,16 +529,3 @@ def _fabric_counts(fabric):
         ("netapi.bytes_delivered", fabric.total("bytes_received")),
         ("netapi.tx_full", fabric.total("tx_queue_full")),
     )
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -42,7 +42,6 @@ the container image pins its dependency set.
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -527,12 +526,6 @@ def format_findings(result: LintResult) -> str:
         f"file(s), {result.suppressed} suppressed"
     )
     return "\n".join(lines)
-
-
-def save_report(result: LintResult, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(report_dict(result), fh, indent=2)
-    return path
 
 
 def _unused_tuple_guard() -> Tuple[int, int]:  # pragma: no cover

@@ -60,12 +60,12 @@ line; accepted findings live in ``PROTO_BASELINE.json`` keyed by
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.gate import GateError, atomic_write, canonical_json, load
 from repro.sanitize.lint import _iter_python_files, repo_package_root
 
 __all__ = [
@@ -1409,9 +1409,17 @@ def _finding_key(f: ProtoFinding) -> Tuple[str, str, str]:
 
 
 def load_baseline(path) -> List[Dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return list(doc.get("accepted", []))
+    """The accepted entries; :class:`GateError` if the file is malformed."""
+    accepted = load(path).get("accepted", [])
+    if not isinstance(accepted, list) or not all(
+            isinstance(e, dict)
+            and isinstance(e.get("rule"), str)
+            and isinstance(e.get("path"), str)
+            and isinstance(e.get("symbol", ""), str)
+            for e in accepted):
+        raise GateError(f"cannot read {path}: 'accepted' must be a list "
+                        "of entries with string 'rule' and 'path'")
+    return list(accepted)
 
 
 def save_baseline(findings: Sequence[ProtoFinding], path,
@@ -1430,10 +1438,7 @@ def save_baseline(findings: Sequence[ProtoFinding], path,
         "tool": "repro-analyze",
         "accepted": [entries[k] for k in sorted(entries)],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
+    return str(atomic_write(path, canonical_json(doc)))
 
 
 def diff_baseline(

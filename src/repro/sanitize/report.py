@@ -20,8 +20,9 @@ Stdlib only, same constraint as the analyzers themselves.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Mapping, Sequence
+
+from repro.gate import atomic_write, canonical_json
 
 __all__ = ["make_report", "to_sarif", "save_json", "save_sarif"]
 
@@ -101,10 +102,7 @@ def to_sarif(report: Mapping) -> Dict:
 
 
 def save_json(report: Mapping, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return atomic_write(path, canonical_json(report))
 
 
 def save_sarif(report: Mapping, path: str) -> str:

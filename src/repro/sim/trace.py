@@ -14,37 +14,12 @@ The tracer is pure instrumentation: it never advances simulated time.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["Span", "Tracer", "atomic_write_json"]
+from repro.gate import atomic_write
 
-
-def atomic_write_json(path: str, obj) -> str:
-    """Write ``obj`` as JSON via temp-file + ``os.replace``.
-
-    An interrupted run can never leave a truncated/corrupt file at
-    ``path``: either the old contents survive or the new ones land
-    whole.  The temp file lives in the destination directory so the
-    replace stays on one filesystem (rename atomicity).
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(obj, f)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass
@@ -212,7 +187,7 @@ class Tracer:
 
     def save(self, path: str) -> str:
         """Write the Chrome trace atomically (temp file + replace)."""
-        return atomic_write_json(path, self.to_chrome_trace())
+        return atomic_write(path, json.dumps(self.to_chrome_trace()))
 
     def __len__(self) -> int:
         return len(self._spans)

@@ -107,3 +107,63 @@ def test_run_rejects_gemini_with_rma(capsys):
     err = _usage_error(
         ["run", "--system", "gemini", "--layer", "mpi-rma"], capsys)
     assert "gemini" in err and "mpi-rma" in err
+
+
+# Every committed-file gate shares one exit-code contract: drift exits 1;
+# a missing or malformed committed file prints ``error: cannot read ...``
+# and exits 2 without a traceback (and before any benchmark runs).
+GATES = {
+    "bench-core --check": ["bench-core", "--check"],
+    "bench-core --compare": ["bench-core", "--compare"],
+    "bench-serve --check": ["bench-serve", "--check"],
+    "analyze --check-baseline": ["analyze", "--check-baseline"],
+}
+BROKEN = {
+    "missing": None,
+    "not-json": "{\"format\": ",
+    "not-an-object": "[1, 2, 3]",
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_gate_unreadable_committed_file_exits_2(tmp_path, capsys, gate,
+                                                broken):
+    path = tmp_path / "committed.json"
+    if BROKEN[broken] is not None:
+        path.write_text(BROKEN[broken])
+    assert main(GATES[gate] + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("accepted", [
+    "not a list",
+    [["P201", "comm/bug.py"]],
+    [{"rule": "P201"}],
+    [{"path": "comm/bug.py"}],
+])
+def test_analyze_malformed_baseline_entries_exit_2(tmp_path, capsys,
+                                                   accepted):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({"accepted": accepted}))
+    empty = tmp_path / "empty.py"
+    empty.write_text("")
+    assert main(["analyze", str(empty), "--check-baseline",
+                 str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+
+
+def test_bench_core_compare_against_non_benchmark_exits_2(
+        tmp_path, capsys, monkeypatch):
+    import repro.bench.core_bench as cb
+    from repro.bench.scenarios import Scenario
+
+    monkeypatch.setattr(cb, "CANONICAL_SCENARIOS", (
+        Scenario(app="bfs", graph="rmat", scale=7, hosts=2, layer="lci"),))
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({"format": "something-else"}))
+    assert main(["bench-core", "--compare", str(path),
+                 "--repeats", "1"]) == 2
+    assert f"error: cannot read {path}" in capsys.readouterr().err

@@ -8,9 +8,9 @@ The load-bearing guarantees pinned here:
 * the traffic matrices *telescope*: wire totals equal the fabric's
   always-on ``pkts_sent``/``bytes_sent`` counters exactly, blob totals
   equal ``RunMetrics.blobs_sent``/``payload_bytes_sent`` exactly;
-* identical runs produce byte-identical comm-docs (the fingerprint the
-  CI baseline gate is built on), and an injected volume change trips
-  the gate;
+* identical runs produce byte-identical comm-docs (the fingerprint
+  ``BENCH_core.json`` pins per canonical scenario), and an injected
+  volume change moves the fingerprint;
 * every exporter's output is accepted by its validator, including on
   empty/degenerate runs.
 """
@@ -24,9 +24,7 @@ from repro.obs import (
     CommStatsContext,
     ObsContext,
     analyze_comm,
-    check_comm_baseline,
     comm_doc_to_csv,
-    comm_doc_to_json,
     comm_fingerprint,
     comm_prometheus_lines,
     format_comm_report,
@@ -36,7 +34,7 @@ from repro.obs import (
     validate_comm_doc,
     validate_prometheus,
 )
-from repro.obs.commstats import baseline_entry, make_baseline
+from repro.gate import canonical_json
 
 LAYERS = ("lci", "mpi-probe", "mpi-rma")
 
@@ -121,12 +119,12 @@ def test_comm_doc_byte_identical_across_repeats():
     for _ in range(2):
         ctx = CommStatsContext()
         build_engine(sc, commstats=ctx).run()
-        docs.append(comm_doc_to_json(ctx.comm_doc()))
+        docs.append(canonical_json(ctx.comm_doc()))
     assert docs[0] == docs[1]
 
 
 def test_fingerprint_ignores_meta_but_not_traffic(observed_runs):
-    doc = json.loads(comm_doc_to_json(observed_runs["lci"][2].comm_doc()))
+    doc = json.loads(canonical_json(observed_runs["lci"][2].comm_doc()))
     fp = doc["fingerprint"]
     relabeled = dict(doc, meta=dict(doc["meta"], scenario="renamed"))
     assert comm_fingerprint(relabeled) == fp
@@ -146,7 +144,7 @@ def test_validator_accepts_produced_docs(observed_runs, layer):
 
 
 def test_validator_rejects_tampering(observed_runs):
-    doc = json.loads(comm_doc_to_json(observed_runs["lci"][2].comm_doc()))
+    doc = json.loads(canonical_json(observed_runs["lci"][2].comm_doc()))
 
     bad = json.loads(json.dumps(doc))
     bad["totals"]["wire_bytes"] += 1
@@ -165,26 +163,6 @@ def test_validator_rejects_tampering(observed_runs):
     bad["wire"][first]["bytes"] += 8
     bad["totals"]["wire_bytes"] += 8
     assert any("fingerprint" in e for e in validate_comm_doc(bad))
-
-
-def test_baseline_gate_passes_clean_and_trips_on_volume_change(
-    observed_runs,
-):
-    fresh = {"bfs8/" + layer: baseline_entry(observed_runs[layer][2]
-                                             .comm_doc())
-             for layer in LAYERS}
-    committed = json.loads(json.dumps(make_baseline(fresh)))
-    assert check_comm_baseline(fresh, committed) == []
-
-    drifted = json.loads(json.dumps(committed))
-    drifted["scenarios"]["bfs8/lci"]["wire_bytes"] += 100
-    drifted["scenarios"]["bfs8/lci"]["fingerprint"] = "0" * 16
-    problems = check_comm_baseline(fresh, drifted)
-    assert problems and any("bfs8/lci" in p for p in problems)
-
-    missing = json.loads(json.dumps(committed))
-    del missing["scenarios"]["bfs8/mpi-rma"]
-    assert check_comm_baseline(fresh, missing)
 
 
 # ----------------------------------------------------------------------
@@ -371,27 +349,17 @@ def test_cli_run_comm_and_commstats(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert doc["fingerprint"] in out
 
-    # Baseline write/check runs the canonical scenarios; shrink the
-    # set to keep the test fast — the real set is exercised in CI.
-    import repro.bench.core_bench as core_bench
-
-    monkeypatch.setattr(
-        core_bench, "CANONICAL_SCENARIOS",
-        (Scenario(app="bfs", graph="rmat", scale=8, hosts=4,
-                  layer="lci"),),
-    )
-    rc = main(["commstats", "--write-baseline", "base.json"])
+    # The single-run commstats exports all land (atomically) and agree
+    # with the run's comm-doc.
+    rc = main(["commstats", "--app", "bfs", "--scale", "8", "--hosts", "4",
+               "--layer", "lci", "--json", "c.json", "--csv", "c.csv",
+               "--heatmap", "h.txt", "--prom", "c.prom"])
     assert rc == 0
-    capsys.readouterr()
-    rc = main(["commstats", "--check-baseline", "base.json"])
-    assert rc == 0
-    assert "match" in capsys.readouterr().out
-
-    # Drift must fail loudly.
-    base = json.loads((tmp_path / "base.json").read_text())
-    label = sorted(base["scenarios"])[0]
-    base["scenarios"][label]["wire_bytes"] += 1
-    (tmp_path / "base.json").write_text(json.dumps(base))
-    rc = main(["commstats", "--check-baseline", "base.json"])
-    assert rc == 1
-    assert "comm drift" in capsys.readouterr().err
+    assert doc["fingerprint"] in capsys.readouterr().out
+    assert json.loads((tmp_path / "c.json").read_text())["fingerprint"] == \
+        doc["fingerprint"]
+    assert (tmp_path / "c.csv").read_text().startswith("section,kind,")
+    assert "heatmap" in (tmp_path / "h.txt").read_text()
+    assert validate_prometheus((tmp_path / "c.prom").read_text()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.csv", "c.json", "c.prom", "comm.json", "h.txt"]

@@ -22,14 +22,13 @@ import pytest
 
 from repro.bench.core_bench import (
     OVERHEAD_SCENARIO,
-    bench_core_to_json,
-    check_core_against_file,
     core_benchmark,
     measure_overhead,
     strip_wall,
 )
 from repro.bench.scenarios import Scenario, build_engine
 from repro.cli import main
+from repro.gate import GateError, canonical_json, diff, load
 from repro.obs import (
     CounterRegistry,
     ProfileContext,
@@ -289,30 +288,53 @@ def test_format_top_and_counters(run_ctx):
 TINY = (Scenario(app="bfs", graph="rmat", scale=7, hosts=2, layer="lci"),)
 
 
+def check_core(doc: dict, path) -> list:
+    """The bench-core drift check: the gate's diff, wall blocks stripped."""
+    return diff(strip_wall(doc), strip_wall(load(path)))
+
+
 def test_core_benchmark_shape_and_check(tmp_path):
     doc = core_benchmark(TINY, repeats=2)
     (row,) = doc["scenarios"]
     assert row["sim"]["fingerprint"]
     assert row["sim"]["events_fired"] > 0
     assert row["wall"]["wall_seconds"] > 0
+    comm = row["sim"]["comm"]
+    assert comm["eager_bytes"] + comm["rendezvous_bytes"] <= \
+        comm["wire_bytes"]
 
     path = tmp_path / "BENCH_core.json"
-    path.write_text(bench_core_to_json(doc))
+    path.write_text(canonical_json(doc))
 
     # Wall-clock drift must be invisible to the check...
     doc2 = core_benchmark(TINY, repeats=1)
     doc2["scenarios"][0]["wall"]["wall_seconds"] = 999.0
-    assert check_core_against_file(doc2, str(path)) == []
+    assert check_core(doc2, path) == []
 
-    # ...while any deterministic drift is loud.
-    doc3 = json.loads(bench_core_to_json(doc))
-    doc3["scenarios"][0]["sim"]["fingerprint"] = "0" * 16
-    assert check_core_against_file(doc3, str(path))
+    # ...while any deterministic drift is loud, the comm block's traffic
+    # fingerprint and eager/rendezvous split included.
+    for block, field, value in (
+        ("sim", "fingerprint", "0" * 16),
+        ("comm", "fingerprint", "0" * 16),
+        ("comm", "eager_bytes", comm["eager_bytes"] + 1),
+        ("comm", "rendezvous_bytes", comm["rendezvous_bytes"] + 1),
+    ):
+        committed = json.loads(canonical_json(doc))
+        sim = committed["scenarios"][0]["sim"]
+        (sim if block == "sim" else sim["comm"])[field] = value
+        path.write_text(canonical_json(committed))
+        diffs = check_core(doc, path)
+        assert len(diffs) == 1 and field in diffs[0], diffs
 
 
 def test_check_against_missing_file(tmp_path):
-    doc = {"format": "repro-bench-core/v1", "scenarios": []}
-    assert check_core_against_file(doc, str(tmp_path / "absent.json")) is None
+    with pytest.raises(GateError, match="cannot read"):
+        load(tmp_path / "absent.json")
+    bad = tmp_path / "bad.json"
+    for text in ("{not json", "[1, 2]"):
+        bad.write_text(text)
+        with pytest.raises(GateError, match="cannot read"):
+            load(bad)
 
 
 def test_strip_wall_removes_every_wall_subtree():
@@ -360,3 +382,29 @@ def test_cli_bench_core_roundtrip(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["bench-core", "--check", path, "--repeats", "1"]) == 0
     assert "match" in capsys.readouterr().out
+
+    # A committed comm-volume change is drift: exit 1, naming the field.
+    committed = load(path)
+    committed["scenarios"][0]["sim"]["comm"]["eager_bytes"] += 1
+    with open(path, "w") as fh:
+        fh.write(canonical_json(committed))
+    assert main(["bench-core", "--check", path, "--repeats", "1"]) == 1
+    assert "scenarios[0].sim.comm.eager_bytes" in capsys.readouterr().err
+
+
+def test_cli_bench_core_out_keeps_trajectory(tmp_path, capsys, monkeypatch):
+    """``--out`` without a note (the command the drift message suggests)
+    carries the committed perf trajectory forward instead of erasing it."""
+    import repro.bench.core_bench as cb
+    monkeypatch.setattr(cb, "CANONICAL_SCENARIOS", TINY)
+    path = tmp_path / "BENCH_core.json"
+    assert main(["bench-core", "--out", str(path), "--repeats", "1",
+                 "--trajectory-note", "first"]) == 0
+    assert [p["note"] for p in load(path)["trajectory"]] == ["first"]
+    assert main(["bench-core", "--out", str(path), "--repeats", "1"]) == 0
+    assert [p["note"] for p in load(path)["trajectory"]] == ["first"]
+    assert main(["bench-core", "--out", str(path), "--repeats", "1",
+                 "--trajectory-note", "second"]) == 0
+    assert [p["note"] for p in load(path)["trajectory"]] == [
+        "first", "second"]
+    capsys.readouterr()

@@ -287,19 +287,24 @@ def test_cli_serve_smoke(tmp_path, capsys):
 
 
 def test_cli_bench_serve_check_detects_drift(tmp_path):
-    from repro.bench.serve_bench import (
-        bench_doc_to_json,
-        compare_bench_docs,
-    )
+    from repro.gate import canonical_json, diff
 
     doc = {"format": "repro-bench-serve/v1",
            "serve": {"throughput": {"queries_per_sec": 10.0}}}
-    same = json.loads(bench_doc_to_json(doc))
-    assert compare_bench_docs(doc, same) == []
-    drifted = {"format": "repro-bench-serve/v1",
-               "serve": {"throughput": {"queries_per_sec": 11.0}}}
-    diffs = compare_bench_docs(doc, drifted)
-    assert diffs and "queries_per_sec" in diffs[0]
+    same = json.loads(canonical_json(doc))
+    assert diff(doc, same) == []
+    # A changed value is drift (inf and nan included); so is one that
+    # changed type (null, string, list, object, bool) — reported at its
+    # dotted path, never a crash.
+    for committed_qps in (11.0, float("inf"), float("nan"), None, "x",
+                          [10.0], {"v": 10.0}, True):
+        drifted = {"format": "repro-bench-serve/v1",
+                   "serve": {"throughput": {"queries_per_sec":
+                                            committed_qps}}}
+        diffs = diff(doc, drifted)
+        assert len(diffs) == 1, (committed_qps, diffs)
+        assert diffs[0].startswith("serve.throughput.queries_per_sec: ")
+
 
 
 # ----------------------------------------------------------------------

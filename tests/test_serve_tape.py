@@ -72,15 +72,12 @@ def test_replay_identical_under_fault_plan():
 
 
 def test_bench_document_is_reproducible():
-    from repro.bench.serve_bench import (
-        bench_doc_to_json,
-        compare_bench_docs,
-        serve_benchmark,
-    )
+    from repro.bench.serve_bench import serve_benchmark
+    from repro.gate import canonical_json, diff
 
     doc1 = serve_benchmark(scale=8, num_queries=12, fig3_scale=8)
     doc2 = serve_benchmark(scale=8, num_queries=12, fig3_scale=8)
-    assert bench_doc_to_json(doc1) == bench_doc_to_json(doc2)
-    assert compare_bench_docs(doc1, doc2) == []
+    assert canonical_json(doc1) == canonical_json(doc2)
+    assert diff(doc1, doc2) == []
     lat = doc1["serve"]["latency"]
     assert {"p50_us", "p95_us", "p99_us"} <= set(lat)

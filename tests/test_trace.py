@@ -105,15 +105,6 @@ def test_save_is_atomic(tmp_path):
     assert os.listdir(tmp_path) == ["trace.json"]  # no temp droppings
 
 
-def test_atomic_write_json_cleans_up_on_failure(tmp_path):
-    from repro.sim.trace import atomic_write_json
-
-    path = tmp_path / "out.json"
-    with pytest.raises(TypeError):
-        atomic_write_json(str(path), {"bad": object()})
-    assert os.listdir(tmp_path) == []
-
-
 def test_engine_emits_spans():
     g = rmat(7, edge_factor=8, seed=3)
     tracer = Tracer()
